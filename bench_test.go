@@ -3,7 +3,7 @@
 // (fixed op counts, execution-time rows); these benches give per-op
 // costs for the same code paths and feed `go test -bench`.
 //
-// Index (see DESIGN.md §5 and EXPERIMENTS.md):
+// Index (paper section or figure each group reproduces):
 //
 //	BenchmarkFig1_*   — fat vs native pointer overhead (Figure 1)
 //	BenchmarkTable3_* — API primitive latencies (Table 3)
@@ -14,6 +14,9 @@
 //	BenchmarkFig11_*  — YCSB workloads across libraries (Figure 11)
 //	BenchmarkFig12_*  — multithreaded transaction scaling (Figure 12)
 //	BenchmarkFig14_*  — sensor aggregation, Puddles vs PMDK (Fig. 14)
+//	BenchmarkYCSB_Concurrent, BenchmarkYCSBRead_Concurrent — multi-worker
+//	                    YCSB write and read paths (no paper counterpart)
+//	BenchmarkCommit_FlushCoalescing — flushes per commit (no paper counterpart)
 package puddles_test
 
 import (

@@ -393,10 +393,11 @@ func runFig14() error {
 			bd.Import.Round(time.Millisecond).String(),
 			bd.Rewrite.Round(time.Millisecond).String(),
 			bd.AppLogic.Round(time.Millisecond).String(),
+			fmt.Sprintf("%d", bd.Ptrs),
 			fmt.Sprintf("%.1fx", float64(kDur)/float64(bd.Total)),
 		})
 	}
 	fmt.Printf("aggregating state from %d sensor nodes (validated against a reference)\n", nodes)
-	table([]string{"kVars", "PMDK", "Puddles", "pud:Import", "pud:Rewrite", "pud:AppLogic", "PMDK/Puddles"}, rows)
+	table([]string{"kVars", "PMDK", "Puddles", "pud:Import", "pud:Rewrite", "pud:AppLogic", "pud:Ptrs", "PMDK/Puddles"}, rows)
 	return nil
 }

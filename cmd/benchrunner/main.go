@@ -1,14 +1,17 @@
 // Benchrunner regenerates every table and figure of the paper's
-// evaluation (§5) on the simulated substrate. Each subcommand prints
-// the same rows/series the paper reports; EXPERIMENTS.md records the
-// shape comparison.
+// evaluation (§5) on the simulated substrate, plus the repository's
+// own scaling and pause experiments. Each paper subcommand prints the
+// same rows/series the paper reports; the others write a JSON artifact
+// (the BENCH_*.json files at the repository root).
 //
 // Usage:
 //
 //	benchrunner [-scale N] <experiment>
 //
 // Experiments: table1 fig1 table3 daemon reloc crashcheck fig9 fig10
-// fig11 fig12 fig14 ycsbmt daemonmt logshard ckpt ycsbread allocmt all
+// fig11 fig12 fig14 ycsbmt daemonmt logshard ckpt ycsbread allocmt
+// connmt connchaos fences migrate all. Run it with no argument for a
+// one-line description of each.
 //
 // -scale scales operation counts relative to the paper (default 0.01;
 // 1.0 reproduces the paper's full sizes and takes correspondingly

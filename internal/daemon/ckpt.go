@@ -19,14 +19,14 @@
 //   - Quiesce (exclusive opMu, O(1)): swap out the pending delta list
 //     (pre-encoded journal records accumulated by markDirty), capture
 //     the counter block, and switch journal appends to the standby
-//     region. No gob encoding, no device writes, no state copying —
+//     region. No encoding, no device writes, no state copying —
 //     the registry itself is a copy-on-write image (d.img) that the
 //     plan phase never touches, so the pause is independent of
 //     registry size.
 //
 //   - Stream (request path running): compose the next immutable image
-//     from the committed image plus the captured deltas, gob-encode
-//     the records into chunks, and append them to the chain. Each
+//     from the committed image plus the captured deltas, encode the
+//     records into chunks (codec.go), and append them to the chain. Each
 //     chunk persists payload+terminator before publishing its header;
 //     the checkpoint as a whole becomes visible only when its final
 //     commit chunk lands, so a crash mid-stream leaves the previous
@@ -82,8 +82,8 @@ const (
 	ckHdrSize = 32
 
 	ckFull   uint32 = 1 // first chunk of a full checkpoint: reset composed state
-	ckRecs   uint32 = 2 // entity records (gob jbatch)
-	ckCommit uint32 = 3 // checkpoint commit marker (gob ckptTrailer)
+	ckRecs   uint32 = 2 // entity records (an encoded batch)
+	ckCommit uint32 = 3 // checkpoint commit marker (an encoded trailer)
 	ckJump   uint32 = 4 // cross-half continuation: payload is the target offset
 
 	// Spill-region chunk kinds: the same stream states as 1–3, branded
@@ -122,11 +122,6 @@ const (
 // of wedging at the old 32 MiB half ceiling.
 var errCkptFull = errors.New("daemon: checkpoint arena full")
 
-// ckptTrailer is the commit chunk payload.
-type ckptTrailer struct {
-	Full bool
-}
-
 // chainState is the volatile view of the committed checkpoint chain.
 // Guarded by ckptMu (plus exclusive opMu at plan time; boot is
 // single-threaded). A chain occupies a head extent [0, headEnd) in its
@@ -147,7 +142,7 @@ type chainState struct {
 // regImage is one immutable copy-on-write generation of the metadata
 // registry (the PR 6 range-index pattern applied to the daemon): a
 // composed state whose records are never mutated after Store, so the
-// streaming phase gob-encodes them with zero locks and the request
+// streaming phase encodes them with zero locks and the request
 // path running. Published behind Daemon.img under ckptMu.
 type regImage struct {
 	st  *state
@@ -177,7 +172,7 @@ func (d *Daemon) ckptHalfBase(half int) pmem.Addr {
 	return pmem.MetaCkptBase + pmem.Addr(uint64(half)*d.ckptHalf)
 }
 
-// markDirty accumulates the (already gob-encoded, immutable) records
+// markDirty accumulates the (already encoded, immutable) records
 // of one durable journal batch as deltas on top of the committed
 // registry image. The caller still holds the locks of every entity
 // named in recs — the same guarantee that orders the journal — so the
@@ -316,8 +311,9 @@ func cloneState(src *state) *state {
 // and then absorb the delta records in order. Records decoded from
 // delta blobs are fresh values; a pool touched by a membership delta
 // is cloned before mutation, so prev is never written — it stays a
-// valid published image throughout.
-func composeImage(prev *state, deltas []entRec, seq uint64) *state {
+// valid published image throughout. The deltas were encoded by this
+// process, so a decode error means a bug, reported rather than applied.
+func composeImage(prev *state, deltas []entRec, seq uint64) (*state, error) {
 	next := newState()
 	next.Seq = seq
 	next.NextSession = prev.NextSession
@@ -354,38 +350,25 @@ func composeImage(prev *state, deltas []entRec, seq uint64) *state {
 	}
 	next.Types = prev.Types
 	cloned := make(map[string]bool)
-	for _, r := range deltas {
-		switch r.Kind {
+	vc := new(codec)
+	for _, er := range deltas {
+		r, err := vc.record(er)
+		if err != nil {
+			return nil, fmt.Errorf("daemon: composing registry image: %w", err)
+		}
+		switch r.kind {
 		case recPoolLink, recPoolUnlink:
-			pool := next.Pools[r.Key]
-			u, ok := keyUUID(string(r.Blob))
-			if pool == nil || !ok {
-				continue
-			}
-			if !cloned[r.Key] {
-				pool = pool.snapshot()
-				next.Pools[r.Key] = pool
-				cloned[r.Key] = true
-			}
-			if r.Kind == recPoolLink {
-				pool.Puddles = append(pool.Puddles, u)
-				continue
-			}
-			for i, pu := range pool.Puddles {
-				if pu == u {
-					pool.Puddles = append(pool.Puddles[:i], pool.Puddles[i+1:]...)
-					break
-				}
+			if pool := next.Pools[r.key]; pool != nil && !cloned[r.key] {
+				next.Pools[r.key] = pool.snapshot()
+				cloned[r.key] = true
 			}
 		case recPool:
 			// A whole-record replacement makes the entry freshly owned.
-			cloned[r.Key] = !r.Del
-			applyBatchTo(next, &jbatch{Recs: []entRec{r}})
-		default:
-			applyBatchTo(next, &jbatch{Recs: []entRec{r}})
+			cloned[r.key] = !r.del
 		}
+		applyRec(next, r)
 	}
-	return next
+	return next, nil
 }
 
 // dedupDeltas drops superseded delta records for an incremental
@@ -588,7 +571,10 @@ func (w *ckptWriter) finish() error {
 // to an immutable image or is a pre-encoded journal delta.
 func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 	img := d.img.Load()
-	next := composeImage(img.st, p.deltas, p.seq)
+	next, err := composeImage(img.st, p.deltas, p.seq)
+	if err != nil {
+		return err
+	}
 	w := &ckptWriter{
 		d: d, half: p.half, off: p.tail, limit: p.headLimit,
 		seq: p.seq, gen: p.gen, spillKinds: p.spillKinds,
@@ -604,12 +590,8 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 		if len(buf) == 0 {
 			return nil
 		}
-		payload, err := gobBytes(&jbatch{Recs: buf})
-		if err != nil {
-			panic(fmt.Sprintf("daemon: encoding checkpoint chunk: %v", err))
-		}
-		if werr := w.write(kind, payload); werr != nil {
-			return werr
+		if err := w.write(kind, encodeBatch(buf)); err != nil {
+			return err
 		}
 		kind = ckRecs
 		buf, bufBytes = nil, 0
@@ -669,7 +651,7 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 				return err
 			}
 		}
-		if err := emit(putRec(recTypes, "", next.Types)); err != nil {
+		if err := emit(putRec(recTypes, "", (*typeList)(&next.Types))); err != nil {
 			return err
 		}
 	} else {
@@ -691,11 +673,7 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 	if err := flush(); err != nil {
 		return err
 	}
-	trailer, err := gobBytes(&ckptTrailer{Full: p.full})
-	if err != nil {
-		panic(fmt.Sprintf("daemon: encoding checkpoint trailer: %v", err))
-	}
-	if err := w.write(ckCommit, trailer); err != nil {
+	if err := w.write(ckCommit, encodeTrailer(p.full)); err != nil {
 		return err
 	}
 	if err := w.finish(); err != nil {
@@ -770,15 +748,16 @@ type scanResult struct {
 // never stitch onto another chain's live spill (generations are
 // strictly monotonic across commits). Chunks after the last commit —
 // a checkpoint that was still streaming at the crash — are ignored;
-// any torn chunk, out-of-place kind, or second jump ends the scan
-// exactly like a torn journal entry.
+// any torn or undecodable chunk, commit trailer that disagrees with
+// its section, out-of-place kind, or second jump ends the scan exactly
+// like a torn journal entry.
 func (d *Daemon) scanHalf(half int) (scanResult, bool) {
 	var (
 		sr         scanResult
 		h          = half
 		off        uint64
 		cur        *state
-		pending    []*jbatch
+		pending    [][]decRec
 		pendFull   bool
 		opened     bool // a ckFull chunk has been seen (chains start full)
 		inSpill    bool
@@ -845,13 +824,14 @@ scan:
 			if !opened {
 				break scan // records with no chain start: not a chain
 			}
-			var b jbatch
-			if gobValue(payload, &b) != nil {
+			recs, err := decodeBatch(payload)
+			if err != nil {
+				d.logf("boot: checkpoint chunk seq %d in half %d: %v; scan stops here", seq, h, err)
 				break scan
 			}
-			pending = append(pending, &b)
+			pending = append(pending, recs)
 		case ckCommit:
-			if !opened {
+			if full, err := decodeTrailer(payload); !opened || err != nil || full != pendFull {
 				break scan
 			}
 			if pendFull {

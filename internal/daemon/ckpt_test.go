@@ -336,9 +336,9 @@ func TestCompactionUnderLoad(t *testing.T) {
 // failing; and once the registry shrinks, a full fits in the head
 // room the right-justified spill preserved — the arena un-wedges.
 func TestFullCheckpointSpillsAcrossHalves(t *testing.T) {
-	// 64 KiB halves: 150 pool+puddle pairs are a ~100 KiB image —
-	// bigger than one half, comfortably inside the 128 KiB arena.
-	arena := []Option{WithCheckpointArena(128 << 10), WithCheckpointChunkBytes(2 << 10)}
+	// 32 KiB halves: 150 pool+puddle pairs are a ~41 KiB image —
+	// bigger than one half, comfortably inside the 64 KiB arena.
+	arena := []Option{WithCheckpointArena(64 << 10), WithCheckpointChunkBytes(2 << 10)}
 	const pools = 150
 	dev := pmem.New()
 	d, err := New(dev, arena...)
@@ -382,8 +382,8 @@ func TestFullCheckpointSpillsAcrossHalves(t *testing.T) {
 	if err := d2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	// The boot-time full could not fit next to the ~100 KiB live chain
-	// (the arena holds two images only while they sum under 128 KiB),
+	// The boot-time full could not fit next to the ~41 KiB live chain
+	// (the arena holds two images only while they sum under 64 KiB),
 	// so it must have been deferred — not failed — leaving forceFull up.
 	if !d2.forceFull {
 		t.Fatal("oversized boot checkpoint neither committed nor deferred")

@@ -90,8 +90,9 @@ type PuddleRec struct {
 // mu is the pool's shard of the old global daemon lock: it guards the
 // mutable fields (Mode, Puddles) and, held across a mutation plus its
 // journal append, keeps this pool's per-entity records in the same
-// order in the journal as in memory. It is volatile (gob skips
-// unexported fields) and springs back to life zero-valued on boot.
+// order in the journal as in memory. It is volatile (the record codec
+// and the legacy slot gob both skip it) and springs back to life
+// zero-valued on boot.
 type PoolRec struct {
 	Name     string
 	UUID     uid.UUID
@@ -104,7 +105,7 @@ type PoolRec struct {
 	mu sync.Mutex
 }
 
-// snapshot returns a copy safe to gob-encode outside mu (the Puddles
+// snapshot returns a copy that stays fixed outside mu (the Puddles
 // slice is otherwise shared with concurrent appends). Caller holds mu.
 func (p *PoolRec) snapshot() *PoolRec {
 	cp := &PoolRec{
@@ -115,8 +116,9 @@ func (p *PoolRec) snapshot() *PoolRec {
 	return cp
 }
 
-// rec builds this pool's journal record. Caller holds p.mu.
-func (p *PoolRec) rec() entRec { return putRec(recPool, p.Name, p.snapshot()) }
+// rec builds this pool's journal record. Caller holds p.mu, which
+// keeps the fields still while they are encoded.
+func (p *PoolRec) rec() entRec { return putRec(recPool, p.Name, p) }
 
 // LogSpaceRec records a registered log space and the credentials it
 // was registered under; recovery is confined to what those credentials
@@ -157,7 +159,9 @@ type ImportSession struct {
 	Puddles  []ImportPuddle
 }
 
-// state is the gob-persisted daemon snapshot.
+// state is the daemon's composed metadata registry. Journal batches and
+// checkpoint chunks persist it record by record (codec.go); legacy v1
+// slots hold it whole, gob-encoded.
 type state struct {
 	Seq         uint64
 	Pools       map[string]*PoolRec
@@ -416,6 +420,9 @@ func (d *Daemon) logf(format string, args ...any) {
 }
 
 func (d *Daemon) boot() error {
+	if err := d.checkImageFormat(); err != nil {
+		return err
+	}
 	magic := d.dev.LoadU64(metaBase + sbOffMag)
 	firstBoot := magic != sbMagic
 	if firstBoot {
@@ -573,10 +580,24 @@ func (d *Daemon) readSlot(slot pmem.Addr) (*state, uint64, bool) {
 		return nil, 0, false
 	}
 	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	if err := gobValue(data, &st); err != nil {
 		return nil, 0, false
 	}
 	return &st, seq, true
+}
+
+// gobBytes and gobValue serve the two formats still gob-encoded: the
+// legacy v1 whole-state slots and the migration manifests.
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func gobValue(blob []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
 }
 
 // loadMeta restores the best available checkpoint: every readable

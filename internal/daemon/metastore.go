@@ -36,8 +36,6 @@
 package daemon
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -46,7 +44,6 @@ import (
 	"sync/atomic"
 
 	"puddles/internal/pmem"
-	"puddles/internal/ptypes"
 	"puddles/internal/uid"
 )
 
@@ -57,18 +54,22 @@ const (
 	journalBase = pmem.MetaJournal0 // the region v1 images already carry
 	journalSize = pmem.MetaJournalSize
 
-	journalMagic = 0x314c_4e52_4a50 // "PJRNL1"
+	journalMagic = 0x324c_4e52_4a50 // "PJRNL2": records in the codec.go layout
 	jrnOffMagic  = 0
 	jrnOffBase   = 8  // checkpoint seq this journal builds on
 	jrnHdrSize   = 64 // first entry starts here (cacheline aligned)
+
+	// gobJournalMagic ("PJRNL1") marks a journal whose records were
+	// gob-encoded. Nothing reads that format; boot refuses the image.
+	gobJournalMagic = 0x314c_4e52_4a50
 
 	// Entry header: u32 payload length | u32 zero | u64 payload CRC |
 	// u64 batch seq. The header is written last, after the payload is
 	// flushed, so a torn append leaves an invalid header and replay
 	// stops there (a header torn across cachelines fails its CRC; the
 	// entry was never acked, so dropping it is correct). Keeping the
-	// seq in the header rather than the payload lets the gob encode and
-	// CRC run outside jMu — only the slot reservation serializes there;
+	// seq in the header rather than the payload lets the encode and CRC
+	// run outside jMu — only the slot reservation serializes there;
 	// even the device writes run outside the lock (see reserveGroup).
 	entHdrSize = 24
 )
@@ -77,6 +78,22 @@ const (
 // compaction has had a chance to run; the operation's metadata is NOT
 // durable and the client must not be acked.
 var errJournalFull = errors.New("daemon: metadata journal full")
+
+// ErrImageFormat is returned by New for a device whose metadata is in
+// a format this daemon does not read. The device is left untouched.
+var ErrImageFormat = errors.New("daemon: unsupported metadata image format")
+
+// checkImageFormat refuses images whose journals hold gob-era records:
+// booting one would compose an empty registry and then reset the
+// journals that hold the real one.
+func (d *Daemon) checkImageFormat() error {
+	for _, a := range []pmem.Addr{pmem.MetaJournal0, pmem.MetaJournal1} {
+		if d.dev.LoadU64(a+jrnOffMagic) == gobJournalMagic {
+			return fmt.Errorf("%w: journal at %#x holds gob-encoded records (PJRNL1)", ErrImageFormat, uint64(a))
+		}
+	}
+	return nil
+}
 
 // journalHighWater is the active-journal fill level past which request
 // workers trigger compaction.
@@ -115,20 +132,15 @@ const (
 )
 
 // entRec is one per-entity record inside a journal batch: a full
-// replacement value for the entity (or a tombstone).
+// replacement value for the entity (or a tombstone). A batch — all
+// records of one daemon operation, or of one checkpoint chunk — is the
+// unit of journal append and replay, applied atomically; its sequence
+// number lives in the entry header.
 type entRec struct {
 	Kind recKind
 	Key  string // pool name, raw 16-byte UUID, or session id
 	Del  bool
-	Blob []byte // gob of the entity value; empty for tombstones
-}
-
-// jbatch is the unit of journal append and replay — and of checkpoint
-// chunking (ckpt.go): all records of one daemon operation (or one
-// checkpoint chunk), applied atomically. Its sequence number lives in
-// the entry header.
-type jbatch struct {
-	Recs []entRec
+	Blob []byte // encoded entity value (codec.go); empty for tombstones
 }
 
 // counters is the journal-persisted slice of the daemon's cumulative
@@ -141,29 +153,6 @@ type counters struct {
 	Imports        uint64
 }
 
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobValue(blob []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
-}
-
-// putRec builds a replacement record for one entity.
-func putRec(kind recKind, key string, v any) entRec {
-	blob, err := gobBytes(v)
-	if err != nil {
-		// Entities are plain gob-able structs; failure is a programming
-		// error, exactly like the old snapshot encoder panic.
-		panic(fmt.Sprintf("daemon: encoding %d record: %v", kind, err))
-	}
-	return entRec{Kind: kind, Key: key, Blob: blob}
-}
-
 // delRec builds a tombstone for one entity.
 func delRec(kind recKind, key string) entRec {
 	return entRec{Kind: kind, Key: key, Del: true}
@@ -173,20 +162,17 @@ func uuidKey(u uid.UUID) string { return string(u[:]) }
 
 // linkRec / unlinkRec build pool-membership delta records.
 func linkRec(pool string, member uid.UUID) entRec {
-	return entRec{Kind: recPoolLink, Key: pool, Blob: append([]byte(nil), member[:]...)}
+	return putRec(recPoolLink, pool, (*poolMember)(&member))
 }
 
 func unlinkRec(pool string, member uid.UUID) entRec {
-	return entRec{Kind: recPoolUnlink, Key: pool, Blob: append([]byte(nil), member[:]...)}
+	return putRec(recPoolUnlink, pool, (*poolMember)(&member))
 }
 
-func keyUUID(k string) (uid.UUID, bool) {
-	var u uid.UUID
-	if len(k) != len(u) {
-		return uid.Nil, false
-	}
+// keyUUID reads a raw UUID key; codec.record has checked its length.
+func keyUUID(k string) (u uid.UUID) {
 	copy(u[:], k)
-	return u, true
+	return u
 }
 
 // countersVal snapshots the counter block. The caller holds sessMu,
@@ -247,10 +233,7 @@ type jreq struct {
 // — or steps down — and persists its group without holding one
 // client's response hostage to everyone else's churn.
 func (d *Daemon) appendBatch(recs []entRec) error {
-	payload, err := gobBytes(&jbatch{Recs: recs})
-	if err != nil {
-		panic(fmt.Sprintf("daemon: encoding journal batch: %v", err))
-	}
+	payload := encodeBatch(recs)
 	r := &jreq{
 		payload: payload, crc: crc64.Checksum(payload, crcTable),
 		done: make(chan struct{}), lead: make(chan struct{}),
@@ -533,6 +516,8 @@ func (d *Daemon) replayJournals(ckptSeq uint64) int {
 
 // replayRegion scans one journal region and applies every decodable
 // batch with Seq > ckptSeq, advancing reached past every valid entry.
+// A batch that passes its CRC but does not decode ends the scan like a
+// torn one: none of its records, and no later entry, is applied.
 func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) int {
 	applied := 0
 	off := uint64(jrnHdrSize)
@@ -551,15 +536,16 @@ func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) i
 			break // torn append: the batch never happened
 		}
 		seq := d.dev.LoadU64(ent + 16)
-		var b jbatch
-		if err := gobValue(payload, &b); err != nil {
+		recs, err := decodeBatch(payload)
+		if err != nil {
+			d.logf("boot: journal entry seq %d at %#x: %v; replay stops here", seq, uint64(ent), err)
 			break
 		}
 		if seq > *reached {
 			*reached = seq
 		}
 		if seq > ckptSeq {
-			applyBatchTo(&d.st, &b)
+			applyBatchTo(&d.st, recs)
 			if seq > d.seq {
 				d.seq = seq
 			}
@@ -570,143 +556,98 @@ func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) i
 	return applied
 }
 
-// applyBatchTo folds one journal batch (or checkpoint chunk) into st.
-// Records are whole-entity replacements, so application is idempotent
-// and last-writer-wins per key.
-func applyBatchTo(st *state, b *jbatch) {
-	for _, r := range b.Recs {
-		switch r.Kind {
-		case recPool:
-			if r.Del {
-				delete(st.Pools, r.Key)
-				continue
-			}
-			var p PoolRec
-			if gobValue(r.Blob, &p) == nil {
-				st.Pools[r.Key] = &p
-			}
-		case recPuddle:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.Puddles, u)
-				continue
-			}
-			var p PuddleRec
-			if gobValue(r.Blob, &p) == nil {
-				st.Puddles[u] = &p
-			}
-		case recLogSpace:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.LogSpaces, u)
-				continue
-			}
-			var ls LogSpaceRec
-			if gobValue(r.Blob, &ls) == nil {
-				st.LogSpaces[u] = &ls
-			}
-		case recSession:
-			id, err := strconv.ParseUint(r.Key, 10, 64)
-			if err != nil {
-				continue
-			}
-			if r.Del {
-				delete(st.Sessions, id)
-				continue
-			}
-			var s ImportSession
-			if gobValue(r.Blob, &s) == nil {
-				st.Sessions[id] = &s
-			}
-		case recPoolLink, recPoolUnlink:
-			pool := st.Pools[r.Key]
-			u, ok := keyUUID(string(r.Blob))
-			if pool == nil || !ok {
-				continue
-			}
-			if r.Kind == recPoolLink {
-				pool.Puddles = append(pool.Puddles, u)
-				continue
-			}
-			for i, pu := range pool.Puddles {
-				if pu == u {
-					pool.Puddles = append(pool.Puddles[:i], pool.Puddles[i+1:]...)
-					break
-				}
-			}
-		case recMigOut:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.MigsOut, u)
-				continue
-			}
-			var m MigOutRec
-			if gobValue(r.Blob, &m) == nil {
-				st.MigsOut[u] = &m
-			}
-		case recMoved:
-			if r.Del {
-				delete(st.Moved, r.Key)
-				continue
-			}
-			var m MovedRec
-			if gobValue(r.Blob, &m) == nil {
-				st.Moved[r.Key] = &m
-			}
-		case recMigDone:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.MigsDone, u)
-				continue
-			}
-			var m MigDoneRec
-			if gobValue(r.Blob, &m) == nil {
-				st.MigsDone[u] = &m
-			}
-		case recStandby:
-			if r.Del {
-				delete(st.Standbys, r.Key)
-				continue
-			}
-			var s StandbyRec
-			if gobValue(r.Blob, &s) == nil {
-				st.Standbys[r.Key] = &s
-			}
-		case recReplica:
-			if r.Del {
-				delete(st.Replicas, r.Key)
-				continue
-			}
-			var rp ReplicaRec
-			if gobValue(r.Blob, &rp) == nil {
-				st.Replicas[r.Key] = &rp
-			}
-		case recTypes:
-			var ts []ptypes.TypeInfo
-			if gobValue(r.Blob, &ts) == nil {
-				st.Types = ts
-			}
-		case recCounters:
-			var c counters
-			if gobValue(r.Blob, &c) == nil {
-				st.NextSession = c.NextSession
-				st.Recoveries = c.Recoveries
-				st.LogsReplayed = c.LogsReplayed
-				st.EntriesApplied = c.EntriesApplied
-				st.Imports = c.Imports
+// applyBatchTo folds one decoded journal batch (or checkpoint chunk)
+// into st. Records are whole-entity replacements, so application is
+// idempotent and last-writer-wins per key.
+func applyBatchTo(st *state, recs []decRec) {
+	for _, r := range recs {
+		applyRec(st, r)
+	}
+}
+
+// applyRec folds one decoded record into st. The record's kind, key
+// and value type were checked by codec.record.
+func applyRec(st *state, r decRec) {
+	switch r.kind {
+	case recPool:
+		if r.del {
+			delete(st.Pools, r.key)
+		} else {
+			st.Pools[r.key] = r.val.(*PoolRec)
+		}
+	case recPuddle:
+		if r.del {
+			delete(st.Puddles, keyUUID(r.key))
+		} else {
+			st.Puddles[keyUUID(r.key)] = r.val.(*PuddleRec)
+		}
+	case recLogSpace:
+		if r.del {
+			delete(st.LogSpaces, keyUUID(r.key))
+		} else {
+			st.LogSpaces[keyUUID(r.key)] = r.val.(*LogSpaceRec)
+		}
+	case recSession:
+		id, _ := strconv.ParseUint(r.key, 10, 64)
+		if r.del {
+			delete(st.Sessions, id)
+		} else {
+			st.Sessions[id] = r.val.(*ImportSession)
+		}
+	case recPoolLink, recPoolUnlink:
+		pool := st.Pools[r.key]
+		if pool == nil {
+			return
+		}
+		u := uid.UUID(*r.val.(*poolMember))
+		if r.kind == recPoolLink {
+			pool.Puddles = append(pool.Puddles, u)
+			return
+		}
+		for i, pu := range pool.Puddles {
+			if pu == u {
+				pool.Puddles = append(pool.Puddles[:i], pool.Puddles[i+1:]...)
+				break
 			}
 		}
+	case recMigOut:
+		if r.del {
+			delete(st.MigsOut, keyUUID(r.key))
+		} else {
+			st.MigsOut[keyUUID(r.key)] = r.val.(*MigOutRec)
+		}
+	case recMoved:
+		if r.del {
+			delete(st.Moved, r.key)
+		} else {
+			st.Moved[r.key] = r.val.(*MovedRec)
+		}
+	case recMigDone:
+		if r.del {
+			delete(st.MigsDone, keyUUID(r.key))
+		} else {
+			st.MigsDone[keyUUID(r.key)] = r.val.(*MigDoneRec)
+		}
+	case recStandby:
+		if r.del {
+			delete(st.Standbys, r.key)
+		} else {
+			st.Standbys[r.key] = r.val.(*StandbyRec)
+		}
+	case recReplica:
+		if r.del {
+			delete(st.Replicas, r.key)
+		} else {
+			st.Replicas[r.key] = r.val.(*ReplicaRec)
+		}
+	case recTypes:
+		st.Types = *r.val.(*typeList)
+	case recCounters:
+		c := r.val.(*counters)
+		st.NextSession = c.NextSession
+		st.Recoveries = c.Recoveries
+		st.LogsReplayed = c.LogsReplayed
+		st.EntriesApplied = c.EntriesApplied
+		st.Imports = c.Imports
 	}
 }

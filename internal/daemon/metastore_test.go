@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -243,4 +245,44 @@ func BenchmarkJournal_GroupCommit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestGobEraImageRefused: an image whose journal carries the gob-era
+// magic is refused with ErrImageFormat before anything is written.
+// Booting it would compose an empty registry and then reset the
+// journals that hold the real one.
+func TestGobEraImageRefused(t *testing.T) {
+	dev := pmem.NewChaos(1)
+	d, err := New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.SelfConn()
+	rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "old"})
+	c.Close()
+	dev.StoreU64(pmem.MetaJournal0+jrnOffMagic, gobJournalMagic)
+	dev.Persist(pmem.MetaJournal0+jrnOffMagic, 8)
+
+	snap := func() []byte {
+		var b []byte
+		for _, r := range []struct {
+			a pmem.Addr
+			n int
+		}{{metaBase, 16}, {pmem.MetaJournal0, 4096}, {pmem.MetaJournal1, 64}, {pmem.MetaCkptBase, 4096}} {
+			buf := make([]byte, r.n)
+			dev.Load(r.a, buf)
+			b = append(b, buf...)
+		}
+		return b
+	}
+	events, stats, bytesBefore := dev.Events(), dev.Stats(), snap()
+	if _, err := New(dev); !errors.Is(err, ErrImageFormat) {
+		t.Fatalf("boot of a gob-era image: err %v, want ErrImageFormat", err)
+	}
+	if dev.Events() != events || dev.Stats() != stats {
+		t.Fatal("refused boot wrote to the device")
+	}
+	if !bytes.Equal(snap(), bytesBefore) {
+		t.Fatal("refused boot changed the metadata regions")
+	}
 }

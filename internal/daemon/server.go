@@ -908,7 +908,7 @@ func (d *Daemon) persistTypes() *proto.Response {
 	d.typesMu.Lock()
 	defer d.typesMu.Unlock()
 	merged := d.types.All()
-	if resp := d.persistOrFail(putRec(recTypes, "", merged)); resp != nil {
+	if resp := d.persistOrFail(putRec(recTypes, "", (*typeList)(&merged))); resp != nil {
 		return resp
 	}
 	d.st.Types = merged

@@ -172,12 +172,15 @@ func (n *Node) AggregatePuddles(blobs [][]byte) ([]uint64, Breakdown, error) {
 		bd.Import += time.Since(t0)
 
 		t1 := time.Now()
+		ist, err := pool.ImportStats()
+		if err != nil {
+			return nil, bd, fmt.Errorf("import stats %d: %w", i, err)
+		}
 		if err := pool.FinalizeImport(); err != nil {
 			return nil, bd, fmt.Errorf("finalize %d: %w", i, err)
 		}
-		st, _ := n.cl.Stats()
-		_ = st
 		bd.Rewrite += time.Since(t1)
+		bd.Ptrs += ist.PtrsRewrote
 
 		t2 := time.Now()
 		root, err := pool.Root()

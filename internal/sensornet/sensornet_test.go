@@ -45,6 +45,11 @@ func TestPuddlesAggregationSmall(t *testing.T) {
 	if bd.Total <= 0 {
 		t.Fatal("no time measured")
 	}
+	// Every upload is relocated (home already holds the original
+	// addresses), so each list node's pointer is rewritten once.
+	if bd.Ptrs != nodes*vars {
+		t.Fatalf("pointers rewritten = %d, want %d uploads x %d vars", bd.Ptrs, nodes, vars)
+	}
 }
 
 func TestPMDKAggregationSmall(t *testing.T) {
