@@ -10,7 +10,9 @@
 // the "machine" reboots (fresh daemon on the surviving bytes — which
 // runs recovery before serving), and Check runs against a fresh
 // client. Any invariant violation at any crash point is a
-// crash-consistency bug.
+// crash-consistency bug. Every power-fail sweep of the package runs
+// through Sweep: application transactions, daemon metadata churn and
+// compaction, and log-directory churn alike.
 package chaos
 
 import (
@@ -22,12 +24,14 @@ import (
 	"puddles/internal/ptypes"
 )
 
-// Env hands scenario phases their system handles. Vars carries
-// addresses and values between phases (it survives the simulated
-// reboot, standing in for what the application would rediscover from
-// the pool root).
+// Env hands scenario phases their system handles. Daemon is the
+// daemon booted on Dev (before Mutate: the one the crash hits; in
+// Check: the rebooted one). Vars carries addresses and values between
+// phases (it survives the simulated reboot, standing in for what the
+// application would rediscover from the pool root).
 type Env struct {
 	Dev    *pmem.Device
+	Daemon *daemon.Daemon
 	Client *core.Client
 	Pool   *core.Pool
 	Vars   map[string]uint64
@@ -39,7 +43,10 @@ func (e *Env) Addr(name string) pmem.Addr { return pmem.Addr(e.Vars[name]) }
 // Scenario is one crash-consistency property.
 type Scenario struct {
 	Name string
-	// Setup builds initial state (runs crash-free).
+	// Opts configures the daemon at both boots, before and after the
+	// crash.
+	Opts []daemon.Option
+	// Setup builds initial state (runs crash-free; optional).
 	Setup func(e *Env) error
 	// Mutate runs the transactions under crash injection.
 	Mutate func(e *Env) error
@@ -76,21 +83,28 @@ func Sweep(s Scenario, maxOffset, stride int64) (Result, error) {
 	return res, nil
 }
 
+// runOnce is the one place a crash offset is armed: boot, Setup, arm
+// the crash at the off-th persistence event of Mutate, power-fail (at
+// that event or after Mutate completes), reboot and Check. A reboot
+// that fails is a violation at this offset; only harness failures
+// before the crash abort the sweep.
 func runOnce(s Scenario, off int64, res *Result) (crashed bool, err error) {
 	dev := pmem.NewChaos(off)
-	d, err := daemon.New(dev)
+	d, err := daemon.New(dev, s.Opts...)
 	if err != nil {
 		return false, fmt.Errorf("boot: %w", err)
 	}
 	c := core.ConnectLocal(d)
-	env := &Env{Dev: dev, Client: c, Vars: make(map[string]uint64)}
+	env := &Env{Dev: dev, Daemon: d, Client: c, Vars: make(map[string]uint64)}
 	pool, err := c.CreatePool("chaos", 0)
 	if err != nil {
 		return false, fmt.Errorf("pool: %w", err)
 	}
 	env.Pool = pool
-	if err := s.Setup(env); err != nil {
-		return false, fmt.Errorf("setup: %w", err)
+	if s.Setup != nil {
+		if err := s.Setup(env); err != nil {
+			return false, fmt.Errorf("setup: %w", err)
+		}
 	}
 
 	crashesBefore := dev.Stats().Crashes
@@ -120,21 +134,26 @@ func runOnce(s Scenario, off int64, res *Result) (crashed bool, err error) {
 		dev.CrashNow()      // still power-fail after completion
 	}
 
+	violate := func(format string, args ...any) {
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("offset %d (crashed=%v): %s", off, crashed, fmt.Sprintf(format, args...)))
+	}
 	// Reboot: recovery happens inside daemon.New, before any client.
-	d2, err := daemon.New(dev)
+	d2, err := daemon.New(dev, s.Opts...)
 	if err != nil {
-		return crashed, fmt.Errorf("reboot: %w", err)
+		violate("reboot: %v", err)
+		return crashed, nil
 	}
 	c2 := core.ConnectLocal(d2)
 	defer c2.Close()
 	pool2, err := c2.OpenPool("chaos")
 	if err != nil {
-		return crashed, fmt.Errorf("reopen: %w", err)
+		violate("reopen: %v", err)
+		return crashed, nil
 	}
-	env2 := &Env{Dev: dev, Client: c2, Pool: pool2, Vars: env.Vars}
+	env2 := &Env{Dev: dev, Daemon: d2, Client: c2, Pool: pool2, Vars: env.Vars}
 	if err := s.Check(env2); err != nil {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): %v", off, crashed, err))
+		violate("%v", err)
 	}
 	return crashed, nil
 }

@@ -4,121 +4,71 @@ import (
 	"fmt"
 
 	"puddles/internal/daemon"
-	"puddles/internal/pmem"
 	"puddles/internal/proto"
 	"puddles/internal/puddle"
 )
 
-// DaemonMetaChurn is the metadata counterpart of Sweep: instead of
-// crashing application transactions, it power-fails the daemon itself
-// in the middle of its per-entity metadata journal. The workload is
-// pure registry churn — pool creates, puddle creates/frees, log-space
-// registration, a pool delete — each of which appends one multi-entity
-// journal batch. The crash offset sweeps across every persistence
-// event; after each "power failure" the daemon reboots from checkpoint
-// + journal and the registry must be bidirectionally consistent
-// (daemon.CheckConsistency): a torn batch must vanish wholesale, never
-// leave a pool without its root, a puddle without its pool, or a log
-// space without its puddle.
+// DaemonMetaChurn power-fails the daemon itself in the middle of its
+// per-entity metadata journal, instead of crashing application
+// transactions. The workload is pure registry churn — pool creates,
+// puddle creates/frees, log-space registration, a pool delete — each
+// of which appends one multi-entity journal batch. The crash offset
+// sweeps across every persistence event; after each "power failure"
+// the daemon reboots from checkpoint + journal and the registry must
+// be bidirectionally consistent (daemon.CheckConsistency): a torn
+// batch must vanish wholesale, never leave a pool without its root, a
+// puddle without its pool, or a log space without its puddle.
 func DaemonMetaChurn(maxOffset, stride int64) (Result, error) {
-	res := Result{Scenario: "daemon-meta-churn"}
-	for off := int64(1); off < maxOffset; off += stride {
-		crashed, err := metaChurnOnce(off, &res)
-		if err != nil {
-			return res, fmt.Errorf("chaos daemon-meta-churn @%d: %w", off, err)
-		}
-		res.Probes++
-		if !crashed {
-			res.Completed++
-			break
-		}
+	return Sweep(Scenario{
+		Name:   "daemon-meta-churn",
+		Mutate: func(e *Env) error { return metaChurn(e.Daemon) },
+		Check:  func(e *Env) error { return e.Daemon.CheckConsistency() },
+	}, maxOffset, stride)
+}
+
+// dispatch runs one request as the superuser on d's calling goroutine,
+// so an injected crash unwinds into the scenario as a panic, and turns
+// an error response into an error.
+func dispatch(d *daemon.Daemon, req *proto.Request) (*proto.Response, error) {
+	resp := d.Dispatch(daemon.Superuser, req)
+	if resp.Err != "" {
+		return nil, fmt.Errorf("%v: %s", req.Op, resp.Err)
 	}
-	return res, nil
+	return resp, nil
 }
 
 // metaChurn runs the registry workload against d, returning the first
-// error response. It is driven through Dispatch so an injected crash
-// unwinds into the caller as a panic.
+// error response.
 func metaChurn(d *daemon.Daemon) error {
-	creds := daemon.Superuser
-	do := func(req *proto.Request) (*proto.Response, error) {
-		resp := d.Dispatch(creds, req)
-		if resp.Err != "" {
-			return nil, fmt.Errorf("%v: %s", req.Op, resp.Err)
-		}
-		return resp, nil
-	}
 	for p := 0; p < 3; p++ {
-		pool, err := do(&proto.Request{Op: proto.OpCreatePool, Name: fmt.Sprintf("churn-%d", p)})
+		pool, err := dispatch(d, &proto.Request{Op: proto.OpCreatePool, Name: fmt.Sprintf("churn-%d", p)})
 		if err != nil {
 			return err
 		}
 		var puddles []*proto.Response
 		for i := 0; i < 2; i++ {
-			pu, err := do(&proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.MinSize})
+			pu, err := dispatch(d, &proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.MinSize})
 			if err != nil {
 				return err
 			}
 			puddles = append(puddles, pu)
 		}
-		ls, err := do(&proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.MinSize, Kind: uint64(puddle.KindLogSpace)})
+		ls, err := dispatch(d, &proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.MinSize, Kind: uint64(puddle.KindLogSpace)})
 		if err != nil {
 			return err
 		}
-		if _, err := do(&proto.Request{Op: proto.OpRegLogSpace, UUID: ls.UUID}); err != nil {
+		if _, err := dispatch(d, &proto.Request{Op: proto.OpRegLogSpace, UUID: ls.UUID}); err != nil {
 			return err
 		}
 		// Free one ordinary puddle and the still-registered log space
 		// (its registration must die in the same batch).
-		if _, err := do(&proto.Request{Op: proto.OpFreePuddle, UUID: puddles[0].UUID}); err != nil {
+		if _, err := dispatch(d, &proto.Request{Op: proto.OpFreePuddle, UUID: puddles[0].UUID}); err != nil {
 			return err
 		}
-		if _, err := do(&proto.Request{Op: proto.OpFreePuddle, UUID: ls.UUID}); err != nil {
+		if _, err := dispatch(d, &proto.Request{Op: proto.OpFreePuddle, UUID: ls.UUID}); err != nil {
 			return err
 		}
 	}
-	if _, err := do(&proto.Request{Op: proto.OpDeletePool, Name: "churn-1"}); err != nil {
-		return err
-	}
-	return nil
-}
-
-func metaChurnOnce(off int64, res *Result) (crashed bool, err error) {
-	dev := pmem.NewChaos(off)
-	d, err := daemon.New(dev)
-	if err != nil {
-		return false, fmt.Errorf("boot: %w", err)
-	}
-	dev.CrashAtEvent(dev.Events() + off)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if !pmem.IsCrash(r) {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		err = metaChurn(d)
-	}()
-	if !crashed && err != nil {
-		return false, fmt.Errorf("churn: %w", err)
-	}
-	if !crashed {
-		dev.CrashAtEvent(0) // disarm
-		dev.CrashNow()      // still power-fail after completion
-	}
-
-	// Reboot: checkpoint + journal replay inside daemon.New.
-	d2, err := daemon.New(dev)
-	if err != nil {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): reboot: %v", off, crashed, err))
-		return crashed, nil
-	}
-	if err := d2.CheckConsistency(); err != nil {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): %v", off, crashed, err))
-	}
-	return crashed, nil
+	_, err := dispatch(d, &proto.Request{Op: proto.OpDeletePool, Name: "churn-1"})
+	return err
 }

@@ -991,7 +991,7 @@ func (c *Client) ensureLogSpace() (*logState, error) {
 	lp.root = rootPd
 	lp.puddles = append(lp.puddles, rootPd)
 	// Size the directory puddle to its shard count: one page of slots
-	// per shard keeps per-shard capacity roughly at the legacy level.
+	// per shard.
 	lsResp, err := c.rt(&proto.Request{
 		Op: proto.OpGetNewPuddle, Pool: lp.UUID, Size: plog.SpaceSize(shards), Kind: uint64(puddle.KindLogSpace),
 	})

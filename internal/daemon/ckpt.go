@@ -1,16 +1,7 @@
 // Metadata persistence, checkpoint layer: streamed, incremental,
 // chunked checkpoints.
 //
-// The v1 checkpoint was a whole-state gob written into one of two
-// fixed 8 MiB slots while the daemon was quiesced — an O(total state)
-// stop-the-world pause, a hard state-size ceiling, and (the bug that
-// forced this rewrite) a slot chosen by Seq%2 parity even though
-// journal appends bump the same sequence, so two consecutive
-// checkpoints could land in the SAME slot and a crash mid-write
-// destroyed the only valid snapshot while the survivor's stale base
-// discarded the journal.
-//
-// v2 checkpoints live in a dedicated arena (pmem.MetaCkptBase) split
+// Checkpoints live in a dedicated arena (pmem.MetaCkptBase) split
 // into two halves. A half holds a checkpoint *chain*: one full
 // checkpoint followed by incremental checkpoints, each streamed as
 // CRC-guarded chunks with journal-style terminator scanning. The
@@ -34,19 +25,18 @@
 //     readable, carries the entries the failed checkpoint would have
 //     covered.
 //
-//   - Full checkpoints start a new chain in the OTHER half — slot
+//   - Full checkpoints start a new chain in the OTHER half — half
 //     selection alternates away from the half holding the last valid
 //     chain, never by parity — and are planned when no chain exists,
 //     the chain's half is filling up, or the chain has grown long
 //     enough that boot-time composition would drag.
 //
-// Boot picks the half whose chain commits the highest sequence (or a
-// legacy v1 slot, still read for migration), composes full + committed
-// increments, then folds in both journal regions in base order.
+// Boot picks the half whose chain commits the highest sequence,
+// composes full + committed increments, then folds in both journal
+// regions in base order.
 //
-// Chunks spill across a 32 MiB half instead of having to fit one slot,
-// so the old 8 MiB whole-state ceiling is gone; and a FULL image that
-// outgrows even its own half writes a ckJump chunk and continues in
+// Chunks spill across a 32 MiB half, and a FULL image that outgrows
+// even its own half writes a ckJump chunk and continues in
 // the dead region of the other half (spill chunk kinds, ckSFull..),
 // so a large registry cannot wedge compaction either. The quiesce
 // pause is O(1) — independent of both the registry size and the dirty
@@ -129,7 +119,7 @@ var errCkptFull = errors.New("daemon: checkpoint arena full")
 // [spillStart, …) in the OTHER half reached through a ckJump chunk;
 // increments then append in the spill extent.
 type chainState struct {
-	half       int    // arena half holding the chain head; -1 = none (legacy/fresh image)
+	half       int    // arena half holding the chain head; -1 = none (fresh image)
 	seq        uint64 // sequence the chain's last commit covers
 	gen        uint64 // generation of the chain's last commit (sequence tie-break)
 	tail       uint64 // next-append offset (in half, or in 1-half when spilled)
@@ -178,9 +168,6 @@ func (d *Daemon) ckptHalfBase(half int) pmem.Addr {
 // named in recs — the same guarantee that orders the journal — so the
 // pending list replays per entity in journal order.
 func (d *Daemon) markDirty(recs []entRec) {
-	if d.legacyCkpt {
-		return // whole-state checkpoints need no tracking
-	}
 	d.pendMu.Lock()
 	d.pending = append(d.pending, recs...)
 	d.pendMu.Unlock()
@@ -904,34 +891,26 @@ func (d *Daemon) compactCycle(force bool) (time.Duration, error) {
 	start := time.Now()
 	var (
 		p       *ckptPlan
-		planErr error
-		skipped bool
+		skipErr error
 	)
 	func() {
 		d.opMu.Lock()
 		defer d.opMu.Unlock()
 		switch {
 		case d.closed.Load():
-			planErr, skipped = errDaemonClosed, true
+			skipErr = errDaemonClosed
 		case !force && d.jTailApprox.Load() < d.journalHighWater() && !d.needCompact.Load():
-			skipped = true // another worker compacted while we waited
+			// another worker compacted while we waited
 		default:
 			d.needCompact.Store(false)
-			if d.legacyCkpt {
-				planErr = d.writeCheckpointLegacy()
-			} else {
-				p = d.planCheckpoint(false, true)
-			}
+			p = d.planCheckpoint(false, true)
 		}
 	}()
-	if skipped {
-		return 0, planErr
+	if p == nil {
+		return 0, skipErr
 	}
 	pause := time.Since(start)
 	d.notePause(pause)
-	if p == nil {
-		return pause, planErr // legacy path: everything ran under the quiesce
-	}
 	if err := d.streamCheckpoint(p); err != nil {
 		d.abandonCheckpoint(p, err)
 		return pause, err
@@ -989,7 +968,7 @@ func (d *Daemon) CheckpointFull() (time.Duration, error) {
 // completely idle reboot cycle. The caller holds ckptMu and either
 // opMu exclusively or is the single boot goroutine.
 func (d *Daemon) counterOnlyQuiescent() bool {
-	if d.legacyCkpt || d.chain.half < 0 || d.seq != d.chain.seq {
+	if d.chain.half < 0 || d.seq != d.chain.seq {
 		return false
 	}
 	d.pendMu.Lock()
@@ -1007,66 +986,10 @@ func (d *Daemon) counterOnlyQuiescent() bool {
 // on the next compaction (shutdown images re-checkpoint at boot
 // anyway).
 func (d *Daemon) checkpointSync(full bool) error {
-	if d.legacyCkpt {
-		return d.writeCheckpointLegacy()
-	}
 	p := d.planCheckpoint(full, false)
 	if err := d.streamCheckpoint(p); err != nil {
 		d.abandonCheckpoint(p, err)
 		return err
 	}
-	return nil
-}
-
-// writeCheckpointLegacy writes a whole-state v1 snapshot into a
-// legacy A/B slot and resets journal 0 on top of it. The v1 write
-// path is kept so migration tests and the ckpt benchmark can generate
-// and measure old-generation images (WithLegacyCheckpoints) — with
-// the two v1 landmines fixed:
-//
-//   - The slot alternates away from the last valid slot. The original
-//     picked by Seq%2 parity while journal appends bump the same
-//     sequence, so two consecutive checkpoints could target the SAME
-//     slot; a crash mid-write then destroyed the only good snapshot,
-//     boot fell back to a stale slot, and the journal-base guard
-//     discarded the journal on top — silently losing acked state.
-//
-//   - A snapshot too large for the slot fails without side effects:
-//     the original bumped d.seq before the size check, desequencing
-//     the journal on every failed compaction.
-//
-// The caller holds opMu exclusively (or is the single boot goroutine).
-func (d *Daemon) writeCheckpointLegacy() error {
-	prevSeq := d.st.Seq
-	d.st.Seq = d.seq + 1
-	data, err := gobBytes(&d.st)
-	if err != nil {
-		panic(fmt.Sprintf("daemon: encoding snapshot: %v", err)) // programming error
-	}
-	if uint64(len(data))+32 > d.legacySlotCap {
-		d.st.Seq = prevSeq // side-effect-free failure: sequencing untouched
-		d.persistErrs.Add(1)
-		return fmt.Errorf("daemon: snapshot %d bytes exceeds slot", len(data))
-	}
-	d.seq++
-	slot := slotA
-	if d.legacySlot == slotA {
-		slot = slotB
-	}
-	// Header last: a torn snapshot write is invisible because the other
-	// slot still decodes and carries the highest committed seq.
-	d.dev.Store(slot+32, data)
-	d.dev.Flush(slot+32, len(data))
-	d.dev.Fence()
-	d.dev.StoreU64(slot+8, uint64(len(data)))
-	d.dev.StoreU64(slot+16, crc64.Checksum(data, crcTable))
-	d.dev.StoreU64(slot, d.st.Seq)
-	d.dev.Persist(slot, 32)
-	d.legacySlot = slot
-	// Only after the checkpoint is durable may the journal restart; a
-	// crash in between replays the old journal against the old slot.
-	d.resetJournalRegion(pmem.MetaJournal0, d.st.Seq)
-	d.ckptCount.Add(1)
-	d.ckptSeq.Store(d.st.Seq)
 	return nil
 }

@@ -44,12 +44,9 @@ import (
 // Meta region geometry (below the global puddle space, DESIGN.md §4.4).
 // The addresses are a device property shared by every daemon
 // generation, so they are owned by internal/pmem (see pmem/meta.go);
-// the superblock format and the legacy v1 slot format live here.
+// the superblock format lives here.
 const (
-	metaBase  = pmem.MetaBase // superblock at 1 MiB
-	slotBytes = pmem.MetaSlotBytes
-	slotA     = pmem.MetaSlotA // legacy whole-state snapshot slots (v1)
-	slotB     = pmem.MetaSlotB
+	metaBase = pmem.MetaBase // superblock at 1 MiB
 
 	sbMagic   = 0x4445_4c44_4455_50 // "PUDDLED"
 	sbOffMag  = 0
@@ -91,8 +88,7 @@ type PuddleRec struct {
 // mutable fields (Mode, Puddles) and, held across a mutation plus its
 // journal append, keeps this pool's per-entity records in the same
 // order in the journal as in memory. It is volatile (the record codec
-// and the legacy slot gob both skip it) and springs back to life
-// zero-valued on boot.
+// skips it) and springs back to life zero-valued on boot.
 type PoolRec struct {
 	Name     string
 	UUID     uid.UUID
@@ -125,9 +121,7 @@ func (p *PoolRec) rec() entRec { return putRec(recPool, p.Name, p) }
 // could write (paper §4.6, "Recovery"). Shards is the directory shard
 // count the client declared at registration: recovery fans its worker
 // pool out over the shards of one crashed application, not just
-// across applications. Records persisted by earlier daemon
-// generations decode with Shards == 0, which reads as a legacy
-// single-directory space (one shard).
+// across applications. opRegLogSpace stores at least 1.
 type LogSpaceRec struct {
 	UUID   uid.UUID
 	Addr   uint64
@@ -160,8 +154,7 @@ type ImportSession struct {
 }
 
 // state is the daemon's composed metadata registry. Journal batches and
-// checkpoint chunks persist it record by record (codec.go); legacy v1
-// slots hold it whole, gob-encoded.
+// checkpoint chunks persist it record by record (codec.go).
 type state struct {
 	Seq         uint64
 	Pools       map[string]*PoolRec
@@ -171,9 +164,7 @@ type state struct {
 	Sessions    map[uint64]*ImportSession
 	NextSession uint64
 
-	// Live-migration registries (migrate.go). All five maps may be nil
-	// on images written by older daemon generations; loadMeta and
-	// newState materialize them.
+	// Live-migration registries (migrate.go).
 	MigsOut  map[uid.UUID]*MigOutRec  // source-side in-flight migrations
 	Moved    map[string]*MovedRec     // ceded pools -> new owner URL
 	MigsDone map[uid.UUID]*MigDoneRec // adopted migrations (idempotent commit)
@@ -267,12 +258,9 @@ type Daemon struct {
 
 	recoveryWorkers int    // 0 = default pool size (see workerCount)
 	connWorkers     int    // per-connection dispatch workers (see server.go)
-	legacyCkpt      bool   // WithLegacyCheckpoints: write v1 whole-state slots
 	journalCap      uint64 // active-journal byte budget (tests shrink it)
 	ckptChunk       int    // target checkpoint chunk payload bytes
 	ckptHalf        uint64 // arena half size (tests shrink it)
-	legacySlotCap   uint64 // legacy slot byte budget (tests shrink it)
-	legacySlot      pmem.Addr
 
 	// Transport session layer (session.go). tenMu guards the tenant
 	// session registry; it nests like sessMu in the lock order (taken
@@ -332,15 +320,6 @@ type Option func(*Daemon)
 // WithLogger directs daemon diagnostics to l.
 func WithLogger(l *log.Logger) Option { return func(d *Daemon) { d.logger = l } }
 
-// WithLegacyCheckpoints makes the daemon write v1 whole-state A/B
-// snapshot slots instead of chunked checkpoint chains. Migration
-// tests use it to generate old-generation images and the ckpt
-// benchmark to measure the old compaction pause; it is not meant for
-// production images (the v2 boot path reads both formats).
-func WithLegacyCheckpoints() Option {
-	return func(d *Daemon) { d.legacyCkpt = true }
-}
-
 // WithJournalCapacity caps the active metadata journal at n bytes
 // (default and maximum pmem.MetaJournalSize). Crash-injection sweeps
 // shrink it so a short workload crosses many compaction cycles.
@@ -382,19 +361,18 @@ func WithCheckpointArena(n uint64) Option {
 // independent recovery.
 func New(dev *pmem.Device, opts ...Option) (*Daemon, error) {
 	d := &Daemon{
-		dev:           dev,
-		space:         addrspace.NewManager(),
-		staging:       addrspace.NewManagerRange(StagingBase, stagingSize),
-		types:         ptypes.NewRegistry(),
-		jBase:         pmem.MetaJournal0,
-		chain:         chainState{half: -1},
-		journalCap:    pmem.MetaJournalSize,
-		ckptChunk:     defaultCkptChunk,
-		ckptHalf:      pmem.MetaCkptSize / 2,
-		legacySlotCap: slotBytes,
-		tenants:       make(map[uint64]*Session),
-		conns:         make(map[*connState]struct{}),
-		doneCh:        make(chan struct{}),
+		dev:        dev,
+		space:      addrspace.NewManager(),
+		staging:    addrspace.NewManagerRange(StagingBase, stagingSize),
+		types:      ptypes.NewRegistry(),
+		jBase:      pmem.MetaJournal0,
+		chain:      chainState{half: -1},
+		journalCap: pmem.MetaJournalSize,
+		ckptChunk:  defaultCkptChunk,
+		ckptHalf:   pmem.MetaCkptSize / 2,
+		tenants:    make(map[uint64]*Session),
+		conns:      make(map[*connState]struct{}),
+		doneCh:     make(chan struct{}),
 	}
 	d.jPrevDone = make(chan struct{})
 	close(d.jPrevDone) // the ticket chain starts settled
@@ -423,22 +401,20 @@ func (d *Daemon) boot() error {
 	if err := d.checkImageFormat(); err != nil {
 		return err
 	}
-	magic := d.dev.LoadU64(metaBase + sbOffMag)
-	firstBoot := magic != sbMagic
+	// The superblock magic is persisted last on a first boot, after
+	// the boot checkpoint and the journals are durable: an image that
+	// carries it always has a committed chain to load.
+	firstBoot := d.dev.LoadU64(metaBase+sbOffMag) != sbMagic
 	if firstBoot {
 		d.chain = chainState{half: -1} // no committed chain yet
 		d.st = *newState()
 		d.st.NextSession = 1
-		d.dev.StoreU64(metaBase+sbOffMag, sbMagic)
-		d.dev.StoreU64(metaBase+sbOffDirt, 0)
-		d.dev.Persist(metaBase, 16)
 	} else {
-		// Checkpoint first — the best chunked chain, or a legacy v1
-		// whole-state slot (images written by old daemon generations
-		// boot unchanged) — then fold in the per-entity journal batches
-		// appended since, from both journal regions in base order.
+		// Checkpoint first — the best chunked chain — then fold in the
+		// per-entity journal batches appended since, from both journal
+		// regions in base order.
 		if err := d.loadMeta(); err != nil {
-			return fmt.Errorf("daemon: restoring metadata: %w", err)
+			return err
 		}
 		// The freshly composed state is exactly what the winning chain
 		// covers; journal replay and recovery mutate it from here.
@@ -493,10 +469,9 @@ func (d *Daemon) boot() error {
 	d.dev.StoreU64(metaBase+sbOffDirt, 1)
 	d.dev.Persist(metaBase+sbOffDirt, 8)
 	// Full checkpoint, then fresh journals: this rotates the arena
-	// halves over time and initializes the v2 regions on images
-	// migrated from the old whole-state-snapshot layout. The order
-	// matters — the journals reset only once the checkpoint that
-	// covers their entries is durable, so a crash anywhere in boot
+	// halves over time and writes the first chain of a fresh image.
+	// The order matters — the journals reset only once the checkpoint
+	// that covers their entries is durable, so a crash anywhere in boot
 	// still composes the previous chain + the old journals.
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
@@ -524,11 +499,10 @@ func (d *Daemon) boot() error {
 		d.logf("boot checkpoint deferred: %v", err)
 		return nil
 	}
-	if !d.legacyCkpt {
-		// The legacy writer reset journal 0 itself (old daemons did not
-		// know the standby region exists; leaving it untouched is what
-		// makes WithLegacyCheckpoints a faithful v1-image generator).
-		d.initJournals()
+	d.initJournals()
+	if firstBoot {
+		d.dev.StoreU64(metaBase+sbOffMag, sbMagic)
+		d.dev.Persist(metaBase+sbOffMag, 8)
 	}
 	return nil
 }
@@ -564,30 +538,11 @@ func (d *Daemon) Shutdown() {
 // standing in for DAX mappings).
 func (d *Daemon) Device() *pmem.Device { return d.dev }
 
-// --- checkpoint selection (chunked chains + legacy A/B slots);
-// the write side lives in ckpt.go ---
+// --- checkpoint selection (chunked chains); the write side lives in
+// ckpt.go ---
 
-// readSlot decodes one legacy v1 whole-state snapshot slot.
-func (d *Daemon) readSlot(slot pmem.Addr) (*state, uint64, bool) {
-	seq := d.dev.LoadU64(slot)
-	n := d.dev.LoadU64(slot + 8)
-	if seq == 0 || n == 0 || n > slotBytes-32 {
-		return nil, 0, false
-	}
-	data := make([]byte, n)
-	d.dev.Load(slot+32, data)
-	if crc64.Checksum(data, crcTable) != d.dev.LoadU64(slot+16) {
-		return nil, 0, false
-	}
-	var st state
-	if err := gobValue(data, &st); err != nil {
-		return nil, 0, false
-	}
-	return &st, seq, true
-}
-
-// gobBytes and gobValue serve the two formats still gob-encoded: the
-// legacy v1 whole-state slots and the migration manifests.
+// gobBytes and gobValue serve the one format still gob-encoded: the
+// migration manifests.
 func gobBytes(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -600,78 +555,35 @@ func gobValue(blob []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
 }
 
-// loadMeta restores the best available checkpoint: every readable
-// source — the two chunked chains and the two legacy slots — competes
-// on (committed sequence, commit generation), and the highest wins.
-// The generation tie-break matters because counters mutate without
-// journal appends, so two commits can share a sequence number with
-// different counter values — the newer commit must win. A v1 image
-// has no chains, so its newest slot wins (the migration path); legacy
-// slots read as generation 0 and legacy writers always bump the
-// sequence, so a chain never loses a tie to a stale slot.
+// loadMeta restores the best available checkpoint: the two chunked
+// chains compete on (committed sequence, commit generation), and the
+// highest wins. The generation tie-break matters because counters
+// mutate without journal appends, so two commits can share a sequence
+// number with different counter values — the newer commit must win.
+// An image with the superblock magic but no decodable chain (one
+// written by the first daemon generation, which kept whole-state
+// snapshot slots, or a corrupt arena) is refused with ErrImageFormat.
 func (d *Daemon) loadMeta() error {
-	var (
-		best    *state
-		bestSeq uint64
-		bestGen uint64
-		found   bool
-	)
-	better := func(seq, gen uint64) bool {
-		return !found || seq > bestSeq || (seq == bestSeq && gen > bestGen)
-	}
+	var best *state
 	d.chain = chainState{half: -1}
-	d.legacySlot = 0
 	for half := 0; half < 2; half++ {
 		sr, ok := d.scanHalf(half)
-		if ok && better(sr.st.Seq, sr.gen) {
-			best, bestSeq, bestGen, found = sr.st, sr.st.Seq, sr.gen, true
+		if !ok {
+			continue
+		}
+		if best == nil || sr.st.Seq > d.chain.seq || (sr.st.Seq == d.chain.seq && sr.gen > d.chain.gen) {
+			best = sr.st
 			d.chain = chainState{
 				half: half, seq: sr.st.Seq, gen: sr.gen, tail: sr.tail,
 				incs: sr.incs, headEnd: sr.headEnd,
 				spilled: sr.spilled, spillStart: sr.spillStart,
 			}
-			d.legacySlot = 0
 		}
 	}
-	for _, slot := range []pmem.Addr{slotA, slotB} {
-		st, seq, ok := d.readSlot(slot)
-		if ok && better(seq, 0) {
-			best, bestSeq, bestGen, found = st, seq, 0, true
-			d.chain = chainState{half: -1, seq: seq}
-			d.legacySlot = slot
-		}
-	}
-	if !found {
-		return fmt.Errorf("no valid metadata checkpoint (chains and slots all unreadable)")
+	if best == nil {
+		return fmt.Errorf("%w: no checkpoint chain decodes", ErrImageFormat)
 	}
 	d.st = *best
-	if d.st.Pools == nil {
-		d.st.Pools = make(map[string]*PoolRec)
-	}
-	if d.st.Puddles == nil {
-		d.st.Puddles = make(map[uid.UUID]*PuddleRec)
-	}
-	if d.st.LogSpaces == nil {
-		d.st.LogSpaces = make(map[uid.UUID]*LogSpaceRec)
-	}
-	if d.st.Sessions == nil {
-		d.st.Sessions = make(map[uint64]*ImportSession)
-	}
-	if d.st.MigsOut == nil {
-		d.st.MigsOut = make(map[uid.UUID]*MigOutRec)
-	}
-	if d.st.Moved == nil {
-		d.st.Moved = make(map[string]*MovedRec)
-	}
-	if d.st.MigsDone == nil {
-		d.st.MigsDone = make(map[uid.UUID]*MigDoneRec)
-	}
-	if d.st.Standbys == nil {
-		d.st.Standbys = make(map[string]*StandbyRec)
-	}
-	if d.st.Replicas == nil {
-		d.st.Replicas = make(map[string]*ReplicaRec)
-	}
 	return nil
 }
 
@@ -843,7 +755,7 @@ func (d *Daemon) runRecovery() {
 func (d *Daemon) replayUnits(groups [][]*LogSpaceRec) []replayUnit {
 	var units []replayUnit
 	for _, g := range groups {
-		if len(g) == 1 && d.spaceShards(g[0]) > 1 {
+		if len(g) == 1 && g[0].Shards > 1 {
 			if space := d.openLogSpace(g[0]); space != nil && space.Shards() > 1 {
 				for s := 0; s < space.Shards(); s++ {
 					units = append(units, replayUnit{spaces: g, shard: s, space: space})
@@ -926,27 +838,6 @@ func (d *Daemon) openLogSpace(ls *LogSpaceRec) *plog.ShardedLogSpace {
 		return nil
 	}
 	return space
-}
-
-// spaceShards resolves a registered space's shard count. The
-// journaled registration record is authoritative when present —
-// opRegLogSpace cross-checked it against the on-media geometry — so
-// the common path costs no device reads; records persisted before
-// sharding existed (Shards == 0) fall back to the media, and an
-// unreadable directory reads as one shard.
-func (d *Daemon) spaceShards(ls *LogSpaceRec) int {
-	if ls.Shards > 0 {
-		return int(ls.Shards)
-	}
-	p, err := puddle.Open(d.dev, pmem.Addr(ls.Addr))
-	if err != nil {
-		return 1
-	}
-	space, err := plog.OpenShardedLogSpace(p)
-	if err != nil {
-		return 1
-	}
-	return space.Shards()
 }
 
 // conflictGroups partitions spaces (already in deterministic order)

@@ -210,7 +210,10 @@ func setupCrashedTx(t *testing.T, creds Creds, mode uint32, chmodAfter uint32) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := plog.FormatLogSpace(lspHandle)
+	space, err := plog.FormatShardedLogSpace(lspHandle, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	logHandle, err := puddle.Open(dev, pmem.Addr(logp.Addr))
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +222,7 @@ func setupCrashedTx(t *testing.T, creds Creds, mode uint32, chmodAfter uint32) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := space.AddLog(l.Head(), logHandle.UUID()); err != nil {
+	if err := space.AddLog(0, l.Head(), logHandle.UUID()); err != nil {
 		t.Fatal(err)
 	}
 	rt(t, c, &proto.Request{Op: proto.OpRegLogSpace, UUID: lsp.UUID})
@@ -481,7 +484,7 @@ func TestRecoveryWorkerCount(t *testing.T) {
 
 // TestRegLogSpaceShardMismatch: a registration whose declared shard
 // count disagrees with the formatted on-media directory is rejected;
-// the matching count (and the legacy 0 => 1 default) is accepted.
+// the matching count (and the wire's 0 => 1 default) is accepted.
 func TestRegLogSpaceShardMismatch(t *testing.T) {
 	dev := pmem.New()
 	d, err := New(dev)
@@ -507,7 +510,7 @@ func TestRegLogSpaceShardMismatch(t *testing.T) {
 	}
 	rt(t, c, &proto.Request{Op: proto.OpRegLogSpace, UUID: lsp.UUID, Shards: 4})
 
-	// Legacy path: a v1 directory registers with Shards omitted.
+	// Wire default: a request that omits Shards registers one shard.
 	lsp2 := rt(t, c, &proto.Request{
 		Op: proto.OpGetNewPuddle, Pool: pool.Pool,
 		Size: puddle.MinSize, Kind: uint64(puddle.KindLogSpace),
@@ -516,8 +519,16 @@ func TestRegLogSpaceShardMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plog.FormatLogSpace(pd2)
+	if _, err := plog.FormatShardedLogSpace(pd2, 1); err != nil {
+		t.Fatal(err)
+	}
 	rt(t, c, &proto.Request{Op: proto.OpRegLogSpace, UUID: lsp2.UUID})
+	d.lsMu.Lock()
+	shards := d.st.LogSpaces[lsp2.UUID].Shards
+	d.lsMu.Unlock()
+	if shards != 1 {
+		t.Fatalf("registration without Shards stored %d shards, want 1", shards)
+	}
 	if err := d.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@
 //     can always compose checkpoint + retired journal + live journal.
 //
 //   - Checkpoints: chunked, incremental, streamed into the checkpoint
-//     arena with the request path running — see ckpt.go. The legacy
-//     whole-state A/B slots are still read (migration) and written on
-//     demand (WithLegacyCheckpoints, for tests and benchmarks that
-//     need to produce or measure the old format).
+//     arena with the request path running — see ckpt.go. Boot reads
+//     nothing else: an image without a decodable chain, or with a
+//     gob-era journal, is refused with ErrImageFormat.
 //
 // The journal write is a few hundred bytes regardless of how many
 // pools and puddles exist, so metadata persistence cost is
@@ -51,7 +50,6 @@ import (
 // by internal/pmem (every daemon generation must agree on them); the
 // in-region format is owned here.
 const (
-	journalBase = pmem.MetaJournal0 // the region v1 images already carry
 	journalSize = pmem.MetaJournalSize
 
 	journalMagic = 0x324c_4e52_4a50 // "PJRNL2": records in the codec.go layout
@@ -496,7 +494,7 @@ func (d *Daemon) replayJournals(ckptSeq uint64) int {
 	var regs []region
 	for _, a := range []pmem.Addr{pmem.MetaJournal0, pmem.MetaJournal1} {
 		if d.dev.LoadU64(a+jrnOffMagic) != journalMagic {
-			continue // pre-journal image or invalidated standby
+			continue // invalidated standby
 		}
 		regs = append(regs, region{addr: a, base: d.dev.LoadU64(a + jrnOffBase)})
 	}

@@ -54,63 +54,6 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotMigration: an image written by the previous daemon
-// generation (whole-state A/B snapshots, no journal region, no
-// checkpoint arena) must boot: the snapshot reads as a checkpoint
-// with an empty journal, and the v2 regions are initialized on the
-// way out. The old image is generated with the retained v1 writer
-// (WithLegacyCheckpoints), then regressed further to the pre-journal
-// layout.
-func TestOldSnapshotMigration(t *testing.T) {
-	dev := pmem.New()
-	d, err := New(dev, WithLegacyCheckpoints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := d.SelfConn()
-	created := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "legacy"})
-	rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: created.Pool})
-	rt(t, c, &proto.Request{Op: proto.OpShutdown})
-	c.Close()
-
-	// Regress the image to the old layout: the journal regions and the
-	// checkpoint arena did not exist, so whatever is there must be
-	// ignored (zeros here; scribble a little garbage too, as truly old
-	// images carry arbitrary bytes).
-	dev.Zero(journalBase, int(journalSize))
-	dev.StoreU64(journalBase+3*pmem.PageSize, 0xdeadbeefcafef00d)
-	dev.Persist(journalBase, int(journalSize))
-	dev.Zero(pmem.MetaJournal1, int(pmem.MetaJournalSize))
-	dev.StoreU64(pmem.MetaJournal1+5*pmem.PageSize, 0xfeedfacefeedface)
-	dev.Zero(pmem.MetaCkptBase, int(pmem.MetaCkptSize))
-	dev.StoreU64(pmem.MetaCkptBase+7*pmem.PageSize, 0x0123456789abcdef)
-	dev.Persist(pmem.MetaCkptBase, 4096)
-
-	d2, err := New(dev)
-	if err != nil {
-		t.Fatalf("migration boot: %v", err)
-	}
-	c2 := d2.SelfConn()
-	opened := rt(t, c2, &proto.Request{Op: proto.OpOpenPool, Name: "legacy"})
-	if opened.Addr != created.Addr || len(opened.Puddles) != 2 {
-		t.Fatalf("old snapshot lost in migration: %+v", opened)
-	}
-	if err := d2.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-migration the journal must be live: mutate, crash (no
-	// shutdown), reboot, and the journaled mutation survives.
-	rt(t, c2, &proto.Request{Op: proto.OpCreatePool, Name: "post-migration"})
-	c2.Close()
-	d3, err := New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3 := d3.SelfConn()
-	defer c3.Close()
-	rt(t, c3, &proto.Request{Op: proto.OpOpenPool, Name: "post-migration"})
-}
-
 // TestPersistFailureSurfaced: when the journal append fails, the
 // client must get an error (not an ack for unpersisted metadata), the
 // PersistErrors counter must tick, and the daemon must not have
@@ -247,42 +190,113 @@ func BenchmarkJournal_GroupCommit(b *testing.B) {
 	})
 }
 
-// TestGobEraImageRefused: an image whose journal carries the gob-era
-// magic is refused with ErrImageFormat before anything is written.
-// Booting it would compose an empty registry and then reset the
-// journals that hold the real one.
+// TestGobEraImageRefused: an image this daemon cannot read is refused
+// with ErrImageFormat before anything is written. Two kinds: a journal
+// carrying the gob-era magic (booting it would compose an empty
+// registry and then reset the journals that hold the real one), and a
+// superblock magic with no decodable checkpoint chain — what an image
+// of the first daemon generation (whole-state snapshot slots only) or
+// a corrupt arena presents.
 func TestGobEraImageRefused(t *testing.T) {
-	dev := pmem.NewChaos(1)
-	d, err := New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := d.SelfConn()
-	rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "old"})
-	c.Close()
-	dev.StoreU64(pmem.MetaJournal0+jrnOffMagic, gobJournalMagic)
-	dev.Persist(pmem.MetaJournal0+jrnOffMagic, 8)
+	for _, tc := range []struct {
+		name    string
+		regress func(d *Daemon, dev *pmem.Device)
+	}{
+		{"gob-journal", func(d *Daemon, dev *pmem.Device) {
+			dev.StoreU64(pmem.MetaJournal0+jrnOffMagic, gobJournalMagic)
+			dev.Persist(pmem.MetaJournal0+jrnOffMagic, 8)
+		}},
+		{"no-chain", func(d *Daemon, dev *pmem.Device) {
+			for half := 0; half < 2; half++ {
+				hdr := d.ckptHalfBase(half)
+				dev.StoreU64(hdr+8, ^dev.LoadU64(hdr+8)) // first chunk's CRC
+				dev.Persist(hdr+8, 8)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := pmem.NewChaos(1)
+			d, err := New(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := d.SelfConn()
+			rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "old"})
+			c.Close()
+			tc.regress(d, dev)
 
-	snap := func() []byte {
-		var b []byte
-		for _, r := range []struct {
-			a pmem.Addr
-			n int
-		}{{metaBase, 16}, {pmem.MetaJournal0, 4096}, {pmem.MetaJournal1, 64}, {pmem.MetaCkptBase, 4096}} {
-			buf := make([]byte, r.n)
-			dev.Load(r.a, buf)
-			b = append(b, buf...)
+			snap := func() []byte {
+				var b []byte
+				for _, r := range []struct {
+					a pmem.Addr
+					n int
+				}{
+					{metaBase, 16}, {pmem.MetaJournal0, 4096}, {pmem.MetaJournal1, 64},
+					{d.ckptHalfBase(0), 4096}, {d.ckptHalfBase(1), 4096},
+				} {
+					buf := make([]byte, r.n)
+					dev.Load(r.a, buf)
+					b = append(b, buf...)
+				}
+				return b
+			}
+			events, stats, bytesBefore := dev.Events(), dev.Stats(), snap()
+			if _, err := New(dev); !errors.Is(err, ErrImageFormat) {
+				t.Fatalf("boot: err %v, want ErrImageFormat", err)
+			}
+			if dev.Events() != events || dev.Stats() != stats {
+				t.Fatal("refused boot wrote to the device")
+			}
+			if !bytes.Equal(snap(), bytesBefore) {
+				t.Fatal("refused boot changed the metadata regions")
+			}
+		})
+	}
+}
+
+// TestFirstBootCrashSweep power-fails a fresh device at every
+// persistence event of its first boot. The next boot must open every
+// crashed image as an empty, consistent registry: the superblock magic
+// may become durable only after the boot checkpoint and the journals
+// it vouches for.
+func TestFirstBootCrashSweep(t *testing.T) {
+	probes := 0
+	for off := int64(1); ; off++ {
+		dev := pmem.NewChaos(off)
+		dev.CrashAtEvent(off)
+		crashed := func() (crashed bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if !pmem.IsCrash(r) {
+						panic(r)
+					}
+					crashed = true
+				}
+			}()
+			if _, err := New(dev); err != nil {
+				t.Fatalf("offset %d: first boot: %v", off, err)
+			}
+			return false
+		}()
+		if !crashed {
+			break
 		}
-		return b
+		probes++
+		d, err := New(dev)
+		if err != nil {
+			t.Errorf("offset %d: reboot: %v", off, err)
+			continue
+		}
+		if st := d.Stats(); st.Pools != 0 || st.Puddles != 0 || st.LogSpaces != 0 {
+			t.Errorf("offset %d: registry not empty: %d pools, %d puddles, %d log spaces",
+				off, st.Pools, st.Puddles, st.LogSpaces)
+		}
+		if err := d.CheckConsistency(); err != nil {
+			t.Errorf("offset %d: %v", off, err)
+		}
 	}
-	events, stats, bytesBefore := dev.Events(), dev.Stats(), snap()
-	if _, err := New(dev); !errors.Is(err, ErrImageFormat) {
-		t.Fatalf("boot of a gob-era image: err %v, want ErrImageFormat", err)
+	if probes == 0 {
+		t.Fatal("no crash point fell inside the first boot")
 	}
-	if dev.Events() != events || dev.Stats() != stats {
-		t.Fatal("refused boot wrote to the device")
-	}
-	if !bytes.Equal(snap(), bytesBefore) {
-		t.Fatal("refused boot changed the metadata regions")
-	}
+	t.Logf("%d crash offsets inside the first boot", probes)
 }

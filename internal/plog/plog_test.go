@@ -360,41 +360,44 @@ func TestLogSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := FormatLogSpace(p)
+	ls, err := FormatShardedLogSpace(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ls.Capacity() <= 0 {
 		t.Fatal("no capacity")
 	}
 	ids := []uid.UUID{uid.New(), uid.New(), uid.New()}
 	for i, id := range ids {
-		if err := ls.AddLog(pmem.Addr(0x1000*(i+1)), id); err != nil {
+		if err := ls.AddLog(0, pmem.Addr(0x1000*(i+1)), id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := ls.Logs(); len(got) != 3 {
 		t.Fatalf("Logs = %v", got)
 	}
-	if !ls.RemoveLog(0x2000) {
+	if !ls.RemoveLog(0, 0x2000) {
 		t.Fatal("RemoveLog failed")
 	}
 	if got := ls.Logs(); len(got) != 2 {
 		t.Fatalf("Logs after remove = %v", got)
 	}
-	// Slot reuse.
-	if err := ls.AddLog(0x9000, uid.New()); err != nil {
+	// Slot reuse: the new registration takes the tombstoned slot.
+	if err := ls.AddLog(0, 0x9000, uid.New()); err != nil {
 		t.Fatal(err)
 	}
-	if got := ls.Logs(); len(got) != 3 {
+	if got := ls.Logs(); len(got) != 3 || got[1] != 0x9000 {
 		t.Fatalf("Logs after reuse = %v", got)
 	}
 	// Reopen.
-	ls2, err := OpenLogSpace(p)
+	ls2, err := OpenShardedLogSpace(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls2.Logs()) != 3 {
-		t.Fatal("reopened log space lost entries")
+	if ls2.Shards() != 1 || len(ls2.Logs()) != 3 {
+		t.Fatalf("reopened log space: %d shards, logs %v", ls2.Shards(), ls2.Logs())
 	}
-	if ls.RemoveLog(0xdead) {
+	if ls.RemoveLog(0, 0xdead) {
 		t.Fatal("RemoveLog of unknown head succeeded")
 	}
 }
@@ -402,13 +405,16 @@ func TestLogSpace(t *testing.T) {
 func TestLogSpaceFull(t *testing.T) {
 	dev := pmem.New()
 	p, _ := puddle.Format(dev, 0x100000, puddle.MinSize, uid.New(), puddle.KindLogSpace, uid.Nil)
-	ls := FormatLogSpace(p)
+	ls, err := FormatShardedLogSpace(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < ls.Capacity(); i++ {
-		if err := ls.AddLog(pmem.Addr(0x1000+i*8), uid.New()); err != nil {
+		if err := ls.AddLog(0, pmem.Addr(0x1000+i*8), uid.New()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ls.AddLog(0xffff0, uid.New()); err != ErrLogSpaceFull {
+	if err := ls.AddLog(0, 0xffff0, uid.New()); err != ErrLogSpaceFull {
 		t.Fatalf("overfull AddLog = %v", err)
 	}
 }
@@ -474,8 +480,8 @@ func TestShardedLogSpaceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 4 || s.Legacy() {
-		t.Fatalf("Shards=%d Legacy=%v", s.Shards(), s.Legacy())
+	if s.Shards() != 4 {
+		t.Fatalf("Shards=%d", s.Shards())
 	}
 	// Register logs across every shard.
 	heads := map[int][]pmem.Addr{}
@@ -538,49 +544,6 @@ func TestShardedLogSpaceShardFull(t *testing.T) {
 	}
 	if err := s.AddLog(1, 0xffff0, uid.New()); err != nil {
 		t.Fatalf("sibling shard AddLog = %v", err)
-	}
-}
-
-// TestLegacyLogSpaceMigration: a v1 single-directory space written by
-// the old client must open through the sharded path as one shard, be
-// mutable through it, and stay readable by the legacy opener — the
-// on-media format never changes.
-func TestLegacyLogSpaceMigration(t *testing.T) {
-	dev := pmem.New()
-	p, _ := puddle.Format(dev, 0x100000, puddle.MinSize, uid.New(), puddle.KindLogSpace, uid.Nil)
-	legacy := FormatLogSpace(p)
-	if err := legacy.AddLog(0x1000, uid.New()); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.AddLog(0x2000, uid.New()); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenShardedLogSpace(p)
-	if err != nil {
-		t.Fatalf("legacy space did not open through the sharded path: %v", err)
-	}
-	if s.Shards() != 1 || !s.Legacy() {
-		t.Fatalf("Shards=%d Legacy=%v, want 1-shard legacy instance", s.Shards(), s.Legacy())
-	}
-	if got := s.Logs(); len(got) != 2 || got[0] != 0x1000 || got[1] != 0x2000 {
-		t.Fatalf("Logs = %v", got)
-	}
-	// Mutate through the sharded API...
-	if !s.RemoveLog(0, 0x1000) {
-		t.Fatal("RemoveLog via sharded path failed")
-	}
-	if err := s.AddLog(0, 0x3000, uid.New()); err != nil {
-		t.Fatal(err)
-	}
-	// ...and read back through the legacy opener: same directory.
-	ls, err := OpenLogSpace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ls.Logs()
-	if len(got) != 2 || got[0] != 0x3000 || got[1] != 0x2000 {
-		t.Fatalf("legacy reader after sharded mutation: %v", got)
 	}
 }
 
