@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for design choices the paper calls out:
 //
 //   - Per-thread log-puddle caching (paper §4.1: "every thread caches
 //     the log puddle used on the first transaction ... This prevents

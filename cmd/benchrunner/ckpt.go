@@ -14,9 +14,11 @@ import (
 )
 
 // ckpt: compaction pause vs registry size. The checkpoint captures
-// the pending deltas and the counter block under the quiesce and
-// streams the chunks with the request path running, so the pause
-// should not grow with the registry. This benchmark builds registries
+// only the sequence, the journal tail and the counter block under the
+// quiesce, then reads its records back from the journal (and, for a
+// full checkpoint, the committed chain) and streams the chunks with
+// the request path running, so the pause should not grow with the
+// registry. This benchmark builds registries
 // an order of magnitude apart, runs the same steady churn against
 // each, forces compactions with daemon.CompactNow — which reports
 // exactly the exclusive-opMu hold — and emits the pause distribution

@@ -2,8 +2,9 @@
 // lists pools, inspects daemon state, exports and imports pool
 // containers, and triggers recovery — all over the daemon protocol on
 // the UNIX socket. (Data-plane access — mapping puddles — requires
-// sharing the daemon's device and is in-process only; see DESIGN.md
-// §2 on the fd-passing substitution.)
+// sharing the daemon's device and is in-process only; the
+// internal/proto package comment describes the grant records that
+// stand in for the paper's passed file descriptors.)
 //
 // Usage:
 //
@@ -83,7 +84,7 @@ func main() {
 		fmt.Printf("journal bytes    %d\n", s.JournalBytes)
 		fmt.Printf("checkpoints      %d (seq %d, %d chunks, %d bytes)\n",
 			s.Checkpoints, s.CheckpointSeq, s.CheckpointChunks, s.CheckpointBytes)
-		fmt.Printf("ckpt spills      %d (registry gen %d)\n", s.CheckpointSpills, s.RegistryGen)
+		fmt.Printf("ckpt spills      %d (chain gen %d)\n", s.CheckpointSpills, s.RegistryGen)
 		avg := uint64(0)
 		if s.Checkpoints > 0 {
 			avg = s.CkptPauseTotalNs / s.Checkpoints

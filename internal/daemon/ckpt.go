@@ -5,31 +5,49 @@
 // into two halves. A half holds a checkpoint *chain*: one full
 // checkpoint followed by incremental checkpoints, each streamed as
 // CRC-guarded chunks with journal-style terminator scanning. The
-// protocol:
+// registry lives in memory once, in d.st; a checkpoint compacts what
+// is already durable — the committed chain and the journal — rather
+// than a second in-memory copy. The protocol:
 //
-//   - Quiesce (exclusive opMu, O(1)): swap out the pending delta list
-//     (pre-encoded journal records accumulated by markDirty), capture
-//     the counter block, and switch journal appends to the standby
-//     region. No encoding, no device writes, no state copying —
-//     the registry itself is a copy-on-write image (d.img) that the
-//     plan phase never touches, so the pause is independent of
-//     registry size.
+//   - Quiesce (exclusive opMu, O(1)): capture the sequence and the
+//     tail of the active journal region and the counter block, and
+//     switch journal appends to the standby region. No encoding, no
+//     device writes, no registry access, so the pause is independent
+//     of registry size.
 //
-//   - Stream (request path running): compose the next immutable image
-//     from the committed image plus the captured deltas, encode the
-//     records into chunks (codec.go), and append them to the chain. Each
-//     chunk persists payload+terminator before publishing its header;
-//     the checkpoint as a whole becomes visible only when its final
-//     commit chunk lands, so a crash mid-stream leaves the previous
-//     committed chain intact — and the retired journal region, still
-//     readable, carries the entries the failed checkpoint would have
-//     covered.
+//   - Read (request path running): an incremental checkpoint reads
+//     the journal batches past the committed chain, up to the captured
+//     sequence, through the same reader boot replays with
+//     (readJournals), and keeps the last record per entity
+//     (dedupDeltas). A full checkpoint streamed by compaction scans the
+//     committed chain exactly as boot does (scanHalf) and applies those
+//     same batches. A full taken while the daemon stays quiesced for
+//     the whole stream — boot, Shutdown, OpRecover — encodes d.st
+//     directly. A checkpoint that cannot read back every batch it
+//     covers fails before writing anything.
+//
+//   - Stream: encode the records into chunks (codec.go) and append
+//     them to the chain. Each chunk persists payload+terminator before
+//     publishing its header; the checkpoint as a whole becomes visible
+//     only when its final commit chunk lands, so a crash mid-stream
+//     leaves the previous committed chain intact — and the retired
+//     journal region, still readable, carries the entries the failed
+//     checkpoint would have covered.
 //
 //   - Full checkpoints start a new chain in the OTHER half — half
 //     selection alternates away from the half holding the last valid
 //     chain, never by parity — and are planned when no chain exists,
 //     the chain's half is filling up, or the chain has grown long
 //     enough that boot-time composition would drag.
+//
+// There are two sources for a full checkpoint because each is wrong
+// for the other's callers. Encoding d.st while the request path runs
+// would need opMu held exclusively for the whole O(registry) stream.
+// Re-reading media at boot would decode the chain and the journal a
+// second time right after boot composed them: decoding and applying a
+// 543 KB journal (the meta-churn benchmark's journal at a crash) took
+// 3.7–4.8 ms on a 2-vCPU VM, against a meta-churn recovery_s of
+// ~7.6 ms.
 //
 // Boot picks the half whose chain commits the highest sequence,
 // composes full + committed increments, then folds in both journal
@@ -52,7 +70,6 @@ import (
 	"time"
 
 	"puddles/internal/pmem"
-	"puddles/internal/ptypes"
 	"puddles/internal/uid"
 )
 
@@ -129,28 +146,20 @@ type chainState struct {
 	spillStart uint64 // start of the spill extent in 1-half (valid when spilled)
 }
 
-// regImage is one immutable copy-on-write generation of the metadata
-// registry (the PR 6 range-index pattern applied to the daemon): a
-// composed state whose records are never mutated after Store, so the
-// streaming phase encodes them with zero locks and the request
-// path running. Published behind Daemon.img under ckptMu.
-type regImage struct {
-	st  *state
-	gen uint64
-}
-
-// ckptPlan is everything the streaming phase needs, captured under the
-// quiesce. With the COW image, capture is O(1): swap out the pending
-// delta records and the counter block — no entity is read or copied.
+// ckptPlan is everything a checkpoint needs, captured under the
+// quiesce: the sequence and journal tail it covers and the counter
+// block. No entity is read or copied.
 type ckptPlan struct {
-	full   bool
-	deltas []entRec // pre-encoded journal records since the image; merged back on failure
-	seq    uint64   // d.seq at quiesce: the sequence this checkpoint covers
-	gen    uint64   // commit generation (chain.gen + 1)
-	half   int      // half the stream starts in (full: the new head half)
-	tail   uint64   // starting offset within half
-	incs   int      // chain increment count after this checkpoint commits
-	ctrs   counters // counter block captured by this plan
+	full  bool
+	live  bool      // request path runs during the stream: fulls compose from media
+	seq   uint64    // d.seq at quiesce: the sequence this checkpoint covers
+	gen   uint64    // commit generation (chain.gen + 1)
+	jBase pmem.Addr // journal region active at quiesce
+	jTail uint64    // its tail at quiesce: readers stop there
+	half  int       // half the stream starts in (full: the new head half)
+	tail  uint64    // starting offset within half
+	incs  int       // chain increment count after this checkpoint commits
+	ctrs  counters  // counter block captured by this plan
 
 	headLimit  uint64 // hard stop in half (a live spill may cap it)
 	canSpill   bool   // fulls may continue into the other half
@@ -162,43 +171,25 @@ func (d *Daemon) ckptHalfBase(half int) pmem.Addr {
 	return pmem.MetaCkptBase + pmem.Addr(uint64(half)*d.ckptHalf)
 }
 
-// markDirty accumulates the (already encoded, immutable) records
-// of one durable journal batch as deltas on top of the committed
-// registry image. The caller still holds the locks of every entity
-// named in recs — the same guarantee that orders the journal — so the
-// pending list replays per entity in journal order.
-func (d *Daemon) markDirty(recs []entRec) {
-	d.pendMu.Lock()
-	d.pending = append(d.pending, recs...)
-	d.pendMu.Unlock()
-}
-
-// RegistryGen returns the generation of the committed registry image.
-func (d *Daemon) RegistryGen() uint64 {
-	if img := d.img.Load(); img != nil {
-		return img.gen
-	}
-	return 0
-}
-
-// clone returns a copy safe to encode while the original keeps
-// mutating under sessMu.
-func (s *ImportSession) clone() *ImportSession {
-	cp := *s
-	cp.Puddles = append([]ImportPuddle(nil), s.Puddles...)
-	return &cp
+// setChain publishes the committed chain; Stats reads its generation
+// without ckptMu.
+func (d *Daemon) setChain(cs chainState) {
+	d.chain = cs
+	d.chainGen.Store(cs.gen)
 }
 
 // planCheckpoint is the quiesce phase: decide full vs incremental,
-// swap out the pending delta records, capture the counter block and
-// (when allowed and safe) switch journal appends to the standby
-// region. The caller holds ckptMu and either holds opMu exclusively or
-// is the single boot goroutine. With the COW image this is O(1) —
-// full checkpoints included: no entity is read, copied or encoded
-// under the quiesce, so the exclusive pause is independent of registry
-// size on BOTH paths (the ckpt and fences benchmarks measure this).
-func (d *Daemon) planCheckpoint(wantFull, allowSwitch bool) *ckptPlan {
-	p := &ckptPlan{seq: d.seq, gen: d.chain.gen + 1}
+// capture the sequence, the active journal tail and the counter block
+// and, for a live checkpoint (when safe), switch journal appends to
+// the standby region. The caller holds ckptMu and either holds opMu
+// exclusively or is the single boot goroutine. This is O(1) — full
+// checkpoints included: no entity is read, copied or encoded under
+// the quiesce, so the exclusive pause is independent of registry size
+// on BOTH paths (the ckpt and fences benchmarks measure this). A live
+// plan streams with the request path running; any other plan's caller
+// keeps the daemon quiesced until the stream ends.
+func (d *Daemon) planCheckpoint(wantFull, live bool) *ckptPlan {
+	p := &ckptPlan{live: live, seq: d.seq, gen: d.chain.gen + 1, jBase: d.jBase, jTail: d.jTail}
 	p.full = wantFull || d.forceFull || d.chain.half < 0 ||
 		d.chain.incs >= maxChainIncs || d.chain.tail > d.ckptHalf-d.ckptHalf/4
 	if p.full {
@@ -231,10 +222,6 @@ func (d *Daemon) planCheckpoint(wantFull, allowSwitch bool) *ckptPlan {
 			p.spillKinds = true
 		}
 	}
-	d.pendMu.Lock()
-	p.deltas = d.pending
-	d.pending = nil
-	d.pendMu.Unlock()
 	p.ctrs = *d.countersVal()
 	// Switch appends to the standby journal so the retired region's
 	// tail is reclaimed once this checkpoint commits. Safe only when
@@ -242,120 +229,46 @@ func (d *Daemon) planCheckpoint(wantFull, allowSwitch bool) *ckptPlan {
 	// i.e. the checkpoint the active region builds on has committed. If
 	// a previous stream failed, skip the switch: this checkpoint still
 	// commits coverage, and the next compaction switches.
-	if allowSwitch && d.jBaseSeq <= d.chain.seq {
+	if live && d.jBaseSeq <= d.chain.seq {
 		d.switchJournal(p.seq)
 	}
 	return p
 }
 
-// cloneState deep-copies the mutable records of st into a fresh image
-// state (puddle and log-space records are immutable after creation and
-// shared by pointer). Boot-only, single-threaded — live PoolRecs are
-// snapshotted without their locks.
-func cloneState(src *state) *state {
-	dst := newState()
-	dst.Seq = src.Seq
-	dst.NextSession = src.NextSession
-	dst.Recoveries = src.Recoveries
-	dst.LogsReplayed = src.LogsReplayed
-	dst.EntriesApplied = src.EntriesApplied
-	dst.Imports = src.Imports
-	for name, p := range src.Pools {
-		dst.Pools[name] = p.snapshot()
+// readPlanBatches hands fn, in sequence order, every journal batch the
+// plan covers beyond the committed chain: seq (d.chain.seq, p.seq]. It
+// fails unless every one of those sequence numbers reads back.
+func (d *Daemon) readPlanBatches(p *ckptPlan, fn func(recs []decRec)) error {
+	next := d.chain.seq + 1
+	_, err := d.readJournals(d.chain.seq, p.seq, p.jBase, p.jTail, func(seq uint64, recs []decRec) error {
+		if seq != next {
+			return fmt.Errorf("daemon: checkpoint read journal seq %d where %d was due", seq, next)
+		}
+		next++
+		fn(recs)
+		return nil
+	})
+	if err == nil && next <= p.seq {
+		err = fmt.Errorf("daemon: checkpoint covers seq %d but the journal ends at %d", p.seq, next-1)
 	}
-	for u, rec := range src.Puddles {
-		dst.Puddles[u] = rec
-	}
-	for u, ls := range src.LogSpaces {
-		dst.LogSpaces[u] = ls
-	}
-	for id, s := range src.Sessions {
-		dst.Sessions[id] = s.clone()
-	}
-	// Migration records are immutable after their journal append (every
-	// phase change writes a fresh record), so sharing by pointer is safe.
-	for u, m := range src.MigsOut {
-		dst.MigsOut[u] = m
-	}
-	for name, m := range src.Moved {
-		dst.Moved[name] = m
-	}
-	for u, m := range src.MigsDone {
-		dst.MigsDone[u] = m
-	}
-	for name, s := range src.Standbys {
-		dst.Standbys[name] = s
-	}
-	for name, r := range src.Replicas {
-		dst.Replicas[name] = r
-	}
-	dst.Types = append([]ptypes.TypeInfo(nil), src.Types...)
-	return dst
+	return err
 }
 
-// composeImage builds the next registry image: a fresh state whose
-// maps start as shallow copies of prev (sharing the immutable records)
-// and then absorb the delta records in order. Records decoded from
-// delta blobs are fresh values; a pool touched by a membership delta
-// is cloned before mutation, so prev is never written — it stays a
-// valid published image throughout. The deltas were encoded by this
-// process, so a decode error means a bug, reported rather than applied.
-func composeImage(prev *state, deltas []entRec, seq uint64) (*state, error) {
-	next := newState()
-	next.Seq = seq
-	next.NextSession = prev.NextSession
-	next.Recoveries = prev.Recoveries
-	next.LogsReplayed = prev.LogsReplayed
-	next.EntriesApplied = prev.EntriesApplied
-	next.Imports = prev.Imports
-	for name, p := range prev.Pools {
-		next.Pools[name] = p
+// mediaRegistry composes the registry a live full checkpoint encodes:
+// the committed chain, scanned exactly as boot scans it, plus the
+// journal batches the plan covers. Nothing it reads is written by the
+// request path, and the result is the checkpoint's own copy.
+func (d *Daemon) mediaRegistry(p *ckptPlan) (*state, error) {
+	if d.chain.half < 0 {
+		return nil, errors.New("daemon: no committed chain to compose a full checkpoint from")
 	}
-	for u, rec := range prev.Puddles {
-		next.Puddles[u] = rec
+	sr, ok := d.scanHalf(d.chain.half)
+	if !ok || sr.st.Seq != d.chain.seq || sr.gen != d.chain.gen {
+		return nil, fmt.Errorf("daemon: arena half %d does not scan to the committed chain (seq %d, gen %d)",
+			d.chain.half, d.chain.seq, d.chain.gen)
 	}
-	for u, ls := range prev.LogSpaces {
-		next.LogSpaces[u] = ls
-	}
-	for id, s := range prev.Sessions {
-		next.Sessions[id] = s
-	}
-	for u, m := range prev.MigsOut {
-		next.MigsOut[u] = m
-	}
-	for name, m := range prev.Moved {
-		next.Moved[name] = m
-	}
-	for u, m := range prev.MigsDone {
-		next.MigsDone[u] = m
-	}
-	for name, s := range prev.Standbys {
-		next.Standbys[name] = s
-	}
-	for name, r := range prev.Replicas {
-		next.Replicas[name] = r
-	}
-	next.Types = prev.Types
-	cloned := make(map[string]bool)
-	vc := new(codec)
-	for _, er := range deltas {
-		r, err := vc.record(er)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: composing registry image: %w", err)
-		}
-		switch r.kind {
-		case recPoolLink, recPoolUnlink:
-			if pool := next.Pools[r.key]; pool != nil && !cloned[r.key] {
-				next.Pools[r.key] = pool.snapshot()
-				cloned[r.key] = true
-			}
-		case recPool:
-			// A whole-record replacement makes the entry freshly owned.
-			cloned[r.key] = !r.del
-		}
-		applyRec(next, r)
-	}
-	return next, nil
+	err := d.readPlanBatches(p, func(recs []decRec) { applyBatchTo(sr.st, recs) })
+	return sr.st, err
 }
 
 // dedupDeltas drops superseded delta records for an incremental
@@ -550,15 +463,31 @@ func (w *ckptWriter) finish() error {
 	return nil
 }
 
-// streamCheckpoint is the streaming phase: compose the next registry
-// image from the committed image plus the plan's deltas, encode the
-// records into chunks, append them to the planned chain position, and
-// commit. The caller holds ckptMu; the request path may be running —
-// nothing here reads live daemon state: every record encoded belongs
-// to an immutable image or is a pre-encoded journal delta.
+// streamCheckpoint reads what the plan covers, encodes the records
+// into chunks, appends them to the planned chain position, and
+// commits. The caller holds ckptMu. On a live plan the request path is
+// running and nothing here touches d.st; otherwise the caller keeps
+// the daemon quiesced. Every input is read before the first chunk is
+// written, so a checkpoint whose input does not read back fails with
+// the arena untouched.
 func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
-	img := d.img.Load()
-	next, err := composeImage(img.st, p.deltas, p.seq)
+	var (
+		src    *state   // full: the registry to encode
+		deltas []entRec // incremental: the journal records past the chain
+		err    error
+	)
+	switch {
+	case !p.full:
+		err = d.readPlanBatches(p, func(recs []decRec) {
+			for _, r := range recs {
+				deltas = append(deltas, r.entRec)
+			}
+		})
+	case p.live:
+		src, err = d.mediaRegistry(p)
+	default:
+		src = &d.st // quiesced for the whole stream
+	}
 	if err != nil {
 		return err
 	}
@@ -593,56 +522,11 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 		return nil
 	}
 	if p.full {
-		for name, pr := range next.Pools {
-			if err := emit(putRec(recPool, name, pr)); err != nil {
-				return err
-			}
-		}
-		for u, rec := range next.Puddles {
-			if err := emit(putRec(recPuddle, uuidKey(u), rec)); err != nil {
-				return err
-			}
-		}
-		for u, ls := range next.LogSpaces {
-			if err := emit(putRec(recLogSpace, uuidKey(u), ls)); err != nil {
-				return err
-			}
-		}
-		for id, s := range next.Sessions {
-			if err := emit(putRec(recSession, strconv.FormatUint(id, 10), s)); err != nil {
-				return err
-			}
-		}
-		for u, m := range next.MigsOut {
-			if err := emit(putRec(recMigOut, uuidKey(u), m)); err != nil {
-				return err
-			}
-		}
-		for name, m := range next.Moved {
-			if err := emit(putRec(recMoved, name, m)); err != nil {
-				return err
-			}
-		}
-		for u, m := range next.MigsDone {
-			if err := emit(putRec(recMigDone, uuidKey(u), m)); err != nil {
-				return err
-			}
-		}
-		for name, s := range next.Standbys {
-			if err := emit(putRec(recStandby, name, s)); err != nil {
-				return err
-			}
-		}
-		for name, r := range next.Replicas {
-			if err := emit(putRec(recReplica, name, r)); err != nil {
-				return err
-			}
-		}
-		if err := emit(putRec(recTypes, "", (*typeList)(&next.Types))); err != nil {
+		if err := eachRecord(src, emit); err != nil {
 			return err
 		}
 	} else {
-		for _, er := range dedupDeltas(p.deltas) {
+		for _, er := range dedupDeltas(deltas) {
 			if er.Kind == recCounters {
 				continue // superseded by the plan's capture, emitted below
 			}
@@ -666,8 +550,7 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 	if err := w.finish(); err != nil {
 		return err
 	}
-	// Committed: the chain now covers p.seq and the captured counters,
-	// and the composed image becomes the published registry generation.
+	// Committed: the chain now covers p.seq and the captured counters.
 	cs := chainState{seq: p.seq, gen: p.gen, incs: p.incs, tail: w.tail}
 	if p.full {
 		cs.half = p.half
@@ -679,9 +562,8 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 			cs.headEnd = w.tail
 		}
 	}
-	d.chain = cs
+	d.setChain(cs)
 	d.chainCounters = p.ctrs
-	d.img.Store(&regImage{st: next, gen: p.gen})
 	if p.full {
 		d.forceFull = false
 	}
@@ -690,22 +572,66 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 	return nil
 }
 
-// abandonCheckpoint unwinds a failed streaming phase: the captured
-// deltas merge back IN FRONT of anything the request path accumulated
-// since the plan (journal order must be preserved), the failure is
-// counted, and — when an increment ran out of chain space — the next
-// compaction is told to go full in the other half. The plan phase had
-// no other side effects: d.seq was never bumped and the committed
-// image was never replaced, so journal sequencing is unperturbed.
-func (d *Daemon) abandonCheckpoint(p *ckptPlan, err error) {
-	if len(p.deltas) > 0 {
-		d.pendMu.Lock()
-		merged := make([]entRec, 0, len(p.deltas)+len(d.pending))
-		merged = append(merged, p.deltas...)
-		merged = append(merged, d.pending...)
-		d.pending = merged
-		d.pendMu.Unlock()
+// eachRecord hands emit a put record for every entity of st, then its
+// type list, and stops at the first error. A full checkpoint is these
+// records plus the counter block.
+func eachRecord(st *state, emit func(entRec) error) error {
+	for name, pr := range st.Pools {
+		if err := emit(putRec(recPool, name, pr)); err != nil {
+			return err
+		}
 	}
+	for u, rec := range st.Puddles {
+		if err := emit(putRec(recPuddle, uuidKey(u), rec)); err != nil {
+			return err
+		}
+	}
+	for u, ls := range st.LogSpaces {
+		if err := emit(putRec(recLogSpace, uuidKey(u), ls)); err != nil {
+			return err
+		}
+	}
+	for id, s := range st.Sessions {
+		if err := emit(putRec(recSession, strconv.FormatUint(id, 10), s)); err != nil {
+			return err
+		}
+	}
+	for u, m := range st.MigsOut {
+		if err := emit(putRec(recMigOut, uuidKey(u), m)); err != nil {
+			return err
+		}
+	}
+	for name, m := range st.Moved {
+		if err := emit(putRec(recMoved, name, m)); err != nil {
+			return err
+		}
+	}
+	for u, m := range st.MigsDone {
+		if err := emit(putRec(recMigDone, uuidKey(u), m)); err != nil {
+			return err
+		}
+	}
+	for name, s := range st.Standbys {
+		if err := emit(putRec(recStandby, name, s)); err != nil {
+			return err
+		}
+	}
+	for name, r := range st.Replicas {
+		if err := emit(putRec(recReplica, name, r)); err != nil {
+			return err
+		}
+	}
+	return emit(putRec(recTypes, "", (*typeList)(&st.Types)))
+}
+
+// abandonCheckpoint records a failed checkpoint: the failure is
+// counted and — when an increment ran out of chain space — the next
+// compaction is told to go full in the other half. The plan had no
+// other side effect: d.seq was never bumped, and the batches the
+// checkpoint would have covered stay in the journals (a region is
+// reset only once a committed checkpoint covers it), so the next
+// checkpoint reads them again.
+func (d *Daemon) abandonCheckpoint(p *ckptPlan, err error) {
 	d.persistErrs.Add(1)
 	if errors.Is(err, errCkptFull) && !p.full {
 		d.forceFull = true
@@ -960,31 +886,25 @@ func (d *Daemon) CheckpointFull() (time.Duration, error) {
 
 // counterOnlyQuiescent reports whether a new checkpoint would add
 // nothing over the committed chain: no journal appends since its
-// commit (sequence equality), no pending deltas, and — because
-// recovery mutates counters without journaling — an unchanged counter
-// block. When it holds, a quiescent boot or shutdown can skip its
-// checkpoint entirely (zero chunks written); previously the
-// always-captured counters record forced a commit chunk even for a
-// completely idle reboot cycle. The caller holds ckptMu and either
-// opMu exclusively or is the single boot goroutine.
+// commit (sequence equality) and — because recovery mutates counters
+// without journaling — an unchanged counter block. When it holds, a
+// quiescent boot or shutdown can skip its checkpoint entirely (zero
+// chunks written); previously the always-captured counters record
+// forced a commit chunk even for a completely idle reboot cycle. The
+// caller holds ckptMu and either opMu exclusively or is the single
+// boot goroutine.
 func (d *Daemon) counterOnlyQuiescent() bool {
-	if d.chain.half < 0 || d.seq != d.chain.seq {
-		return false
-	}
-	d.pendMu.Lock()
-	clean := len(d.pending) == 0
-	d.pendMu.Unlock()
-	return clean && *d.countersVal() == d.chainCounters
+	return d.chain.half >= 0 && d.seq == d.chain.seq && *d.countersVal() == d.chainCounters
 }
 
 // checkpointSync plans and streams one checkpoint while the daemon is
 // already quiesced (boot, shutdown, forced recovery): there is no
 // request path to overlap with, so the two phases just run back to
-// back. The caller holds ckptMu and either opMu exclusively or is the
-// single boot goroutine. The journal is never switched here — callers
-// that need a reset do it explicitly after the commit (boot), or rely
-// on the next compaction (shutdown images re-checkpoint at boot
-// anyway).
+// back, and a full encodes d.st directly. The caller holds ckptMu and
+// either opMu exclusively or is the single boot goroutine. The journal
+// is never switched here — callers that need a reset do it explicitly
+// after the commit (boot), or rely on the next compaction (shutdown
+// images re-checkpoint at boot anyway).
 func (d *Daemon) checkpointSync(full bool) error {
 	p := d.planCheckpoint(full, false)
 	if err := d.streamCheckpoint(p); err != nil {

@@ -1,9 +1,12 @@
 package daemon
 
 import (
+	"bytes"
 	"fmt"
+	"hash/crc64"
 	"sync"
 	"testing"
+	"time"
 
 	"puddles/internal/pmem"
 	"puddles/internal/proto"
@@ -389,5 +392,152 @@ func TestQuiescentRebootWritesZeroChunks(t *testing.T) {
 	rt(t, c3, &proto.Request{Op: proto.OpOpenPool, Name: "idle"})
 	if st := rt(t, c3, &proto.Request{Op: proto.OpStat}).Stats; st.Recoveries != 0 {
 		t.Fatalf("clean image recovered %d times, want 0 (quiescent shutdown left device dirty)", st.Recoveries)
+	}
+}
+
+// TestCheckpointReadFailureCommitsNothing: a live checkpoint reads its
+// input back from the journal. When that range does not read back — a
+// sequence gap, or an entry that passes its CRC but does not decode —
+// the checkpoint fails before writing: the chain, the checkpoint count
+// and the arena stay as they were and the failure is counted. The
+// damage is then undone, standing in for a transient read fault, and
+// a dirty reboot still opens every acked pool: the failed checkpoint
+// reset no journal region.
+func TestCheckpointReadFailureCommitsNothing(t *testing.T) {
+	damages := []struct {
+		name string
+		do   func(dev *pmem.Device, ent pmem.Addr)
+	}{
+		{"seq gap", func(dev *pmem.Device, ent pmem.Addr) {
+			dev.StoreU64(ent+16, dev.LoadU64(ent+16)+1)
+		}},
+		{"undecodable entry", func(dev *pmem.Device, ent pmem.Addr) {
+			bad := bytes.Repeat([]byte{0xff}, int(dev.LoadU32(ent)))
+			dev.Store(ent+entHdrSize, bad)
+			dev.StoreU64(ent+8, crc64.Checksum(bad, crcTable))
+		}},
+	}
+	kinds := []struct {
+		name string
+		run  func(d *Daemon) (time.Duration, error)
+	}{
+		{"incremental", (*Daemon).CompactNow},
+		{"full", (*Daemon).CheckpointFull},
+	}
+	for _, dm := range damages {
+		for _, kind := range kinds {
+			t.Run(dm.name+"/"+kind.name, func(t *testing.T) {
+				arena := WithCheckpointArena(64 << 10)
+				dev := pmem.New()
+				d, err := New(dev, arena)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := d.SelfConn()
+				names := []string{"a", "b", "c"}
+				for _, name := range names {
+					rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: name})
+				}
+				// Damage the middle batch ("b") of the active region.
+				ent := d.jBase + jrnHdrSize
+				ent += pmem.Addr(entHdrSize + d.dev.LoadU32(ent))
+				orig := make([]byte, entHdrSize+int(d.dev.LoadU32(ent)))
+				dev.Load(ent, orig)
+				dm.do(dev, ent)
+
+				chain, count, errs := d.chain, d.ckptCount.Load(), d.persistErrs.Load()
+				arenaBytes := func() []byte {
+					b := make([]byte, 2*d.ckptHalf)
+					dev.Load(pmem.MetaCkptBase, b)
+					return b
+				}
+				before := arenaBytes()
+				if _, err := kind.run(d); err == nil {
+					t.Fatal("checkpoint over a damaged journal committed")
+				}
+				if d.chain != chain {
+					t.Fatalf("chain moved: %+v -> %+v", chain, d.chain)
+				}
+				if n := d.ckptCount.Load(); n != count {
+					t.Fatalf("checkpoint count %d -> %d", count, n)
+				}
+				if !bytes.Equal(arenaBytes(), before) {
+					t.Fatal("failed checkpoint wrote to the arena")
+				}
+				if n := d.persistErrs.Load(); n != errs+1 {
+					t.Fatalf("persist errors %d -> %d, want one more", errs, n)
+				}
+
+				dev.Store(ent, orig)
+				names = append(names, "after")
+				rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "after"})
+				c.Close() // dirty
+
+				d2, err := New(dev, arena)
+				if err != nil {
+					t.Fatalf("reboot: %v", err)
+				}
+				c2 := d2.SelfConn()
+				defer c2.Close()
+				for _, name := range names {
+					rt(t, c2, &proto.Request{Op: proto.OpOpenPool, Name: name})
+				}
+				if err := d2.CheckConsistency(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestDeferredBootKeepsJournals: a boot that cannot fit its full
+// checkpoint next to the live chain defers it and leaves both journal
+// regions as they are. Appends must continue after the last batch boot
+// replayed, so an op acked before any later checkpoint survives the
+// next dirty reboot, and so do the batches boot replayed.
+func TestDeferredBootKeepsJournals(t *testing.T) {
+	arena := []Option{WithCheckpointArena(64 << 10), WithCheckpointChunkBytes(2 << 10)}
+	const pools = 150 // a ~41 KiB image: two of them overflow the arena
+	dev := pmem.New()
+	d, err := New(dev, arena...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.SelfConn()
+	for i := 0; i < pools; i++ {
+		resp := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: fmt.Sprintf("big-%03d", i)})
+		rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: resp.Pool, Size: puddle.MinSize})
+	}
+	if _, err := d.CheckpointFull(); err != nil {
+		t.Fatal(err)
+	}
+	rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "journal-only"})
+	c.Close() // dirty
+
+	d2, err := New(dev, arena...)
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	if !d2.forceFull {
+		t.Fatal("boot checkpoint was not deferred; grow the registry")
+	}
+	c2 := d2.SelfConn()
+	rt(t, c2, &proto.Request{Op: proto.OpCreatePool, Name: "after-defer"})
+	c2.Close() // dirty, with no checkpoint since the deferred boot
+
+	d3, err := New(dev, arena...)
+	if err != nil {
+		t.Fatalf("second reboot: %v", err)
+	}
+	c3 := d3.SelfConn()
+	defer c3.Close()
+	for _, name := range []string{"big-000", "big-149", "journal-only", "after-defer"} {
+		rt(t, c3, &proto.Request{Op: proto.OpOpenPool, Name: name})
+	}
+	if got := rt(t, c3, &proto.Request{Op: proto.OpStat}).Stats.Pools; got != pools+2 {
+		t.Fatalf("pools after reboot = %d, want %d", got, pools+2)
+	}
+	if err := d3.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -86,12 +86,11 @@ type typeList []ptypes.TypeInfo
 // poolMember is the recPoolLink / recPoolUnlink value.
 type poolMember uid.UUID
 
-// decRec is one decoded batch record.
+// decRec is one decoded batch record: the record as framed (its Blob
+// aliases the batch bytes) and its decoded value.
 type decRec struct {
-	kind recKind
-	del  bool
-	key  string
-	val  recValue // nil for tombstones
+	entRec
+	val recValue // nil for tombstones
 }
 
 // Minimum encoded sizes, for checking counts before allocating.
@@ -436,7 +435,7 @@ func decodeBatch(p []byte) ([]decRec, error) {
 // through the recValue interface moves it to the heap, so a batch
 // allocates one.
 func (c *codec) record(r entRec) (decRec, error) {
-	d := decRec{kind: r.Kind, del: r.Del, key: r.Key}
+	d := decRec{entRec: r}
 	switch {
 	case r.Kind < recPool || r.Kind > recReplica:
 		return d, fmt.Errorf("%w: unknown record kind %d", errBadRecord, r.Kind)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"puddles/internal/pmem"
@@ -105,7 +104,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			if want == nil {
 				want = tc.in
 			}
-			if len(recs) != 1 || recs[0].kind != tc.kind || recs[0].key != tc.key || recs[0].del {
+			if len(recs) != 1 || recs[0].Kind != tc.kind || recs[0].Key != tc.key || recs[0].Del {
 				t.Fatalf("decoded %+v", recs)
 			}
 			if !reflect.DeepEqual(recs[0].val, want) {
@@ -127,7 +126,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", len(recs), len(all))
 	}
 	for i, r := range recs {
-		if r.kind != all[i].Kind || r.key != all[i].Key || r.del != all[i].Del || (r.val == nil) != r.del {
+		if r.Kind != all[i].Kind || r.Key != all[i].Key || r.Del != all[i].Del || (r.val == nil) != r.Del {
 			t.Fatalf("record %d: got %+v, want %+v", i, r, all[i])
 		}
 	}
@@ -216,17 +215,17 @@ func TestTruncatedRecordRejectsBatch(t *testing.T) {
 func reencode(recs []decRec) []byte {
 	ers := make([]entRec, len(recs))
 	for i, r := range recs {
-		if r.del {
-			ers[i] = delRec(r.kind, r.key)
+		if r.Del {
+			ers[i] = delRec(r.Kind, r.Key)
 		} else {
-			ers[i] = putRec(r.kind, r.key, r.val)
+			ers[i] = putRec(r.Kind, r.Key, r.val)
 		}
 	}
 	return encodeBatch(ers)
 }
 
 // A decode of n input bytes may allocate at most decodeAllocFactor
-// bytes per input byte (a 10-byte tombstone frame becomes a 40-byte
+// bytes per input byte (a 10-byte tombstone frame becomes a 64-byte
 // decRec; small values round up to allocator size classes) plus
 // decodeAllocSlack for the error value a rejection builds.
 const (
@@ -235,19 +234,8 @@ const (
 )
 
 // decodeAlloc measures the bytes one decodeBatch of data allocates.
-// Decoding is deterministic, so the least of a few runs drops what
-// other goroutines (the fuzzing engine's among them) allocated during
-// the measurement.
 func decodeAlloc(data []byte) uint64 {
-	least := ^uint64(0)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _ = decodeBatch(data) // only its allocations matter here
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
+	return leastAlloc(func() { _, _ = decodeBatch(data) })
 }
 
 // FuzzDecodeBatch: the journal and checkpoint decoder never panics,

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"log"
+	"math"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -41,7 +42,7 @@ import (
 	"puddles/internal/uid"
 )
 
-// Meta region geometry (below the global puddle space, DESIGN.md §4.4).
+// Meta region geometry (below the global puddle space).
 // The addresses are a device property shared by every daemon
 // generation, so they are owned by internal/pmem (see pmem/meta.go);
 // the superblock format lives here.
@@ -67,7 +68,7 @@ const (
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Creds identify a client (SO_PEERCRED-verified on UNIX sockets,
-// client-asserted elsewhere; DESIGN.md §2).
+// client-asserted elsewhere; README "Deployment & transport").
 type Creds struct{ UID, GID uint32 }
 
 // Superuser credentials bypass permission checks.
@@ -99,17 +100,6 @@ type PoolRec struct {
 	Puddles  []uid.UUID
 
 	mu sync.Mutex
-}
-
-// snapshot returns a copy that stays fixed outside mu (the Puddles
-// slice is otherwise shared with concurrent appends). Caller holds mu.
-func (p *PoolRec) snapshot() *PoolRec {
-	cp := &PoolRec{
-		Name: p.Name, UUID: p.UUID, Root: p.Root,
-		OwnerUID: p.OwnerUID, OwnerGID: p.OwnerGID, Mode: p.Mode,
-		Puddles: append([]uid.UUID(nil), p.Puddles...),
-	}
-	return cp
 }
 
 // rec builds this pool's journal record. Caller holds p.mu, which
@@ -193,10 +183,11 @@ type state struct {
 // (any prefix/suffix may be skipped, never reordered). ckptMu
 // serializes checkpoint writers and is taken before opMu — compaction
 // try-locks it, then quiesces briefly, then streams with the request
-// path running (ckpt.go). jgMu guards only the group-commit queue and
-// is never held across device writes; jMu serializes only the journal
-// slot reservation — payload copies and fences run outside it; see
-// metastore.go.
+// path running; the stream reads the chain and the journal from media
+// and takes no registry lock (ckpt.go). jgMu guards only the
+// group-commit queue and is never held across device writes; jMu
+// serializes only the journal slot reservation — payload copies and
+// fences run outside it; see metastore.go.
 type Daemon struct {
 	dev *pmem.Device
 
@@ -219,17 +210,12 @@ type Daemon struct {
 
 	// Checkpoint state (ckpt.go). ckptMu serializes checkpoint writers
 	// and is acquired BEFORE opMu (maybeCompact try-locks it, then
-	// quiesces); chain and forceFull are guarded by it. img is the
-	// committed copy-on-write registry generation (immutable once
-	// stored — the PR 6 range-index pattern applied to the daemon);
-	// pending holds the pre-encoded journal records appended since the
-	// image's generation, in per-entity journal order.
+	// quiesces); chain and forceFull are guarded by it. st is the only
+	// in-memory registry: checkpoints read their input back from the
+	// chain and the journal, never from a second copy.
 	ckptMu    sync.Mutex
 	chain     chainState
 	forceFull bool
-	img       atomic.Pointer[regImage]
-	pendMu    sync.Mutex
-	pending   []entRec
 	// chainCounters is the counter block the committed chain covers —
 	// set when a commit lands and when a chain is composed at boot.
 	// Counters mutate without journal appends, so sequence equality
@@ -253,6 +239,7 @@ type Daemon struct {
 	ckptBytes      atomic.Uint64 // bytes streamed into the arena
 	ckptSpills     atomic.Uint64 // full images that crossed into the other half
 	ckptSeq        atomic.Uint64 // seq of the last committed checkpoint
+	chainGen       atomic.Uint64 // generation of the committed chain (setChain)
 	ckptPauseTotal atomic.Uint64 // cumulative exclusive quiesce ns
 	ckptPauseMax   atomic.Uint64 // worst single quiesce ns
 
@@ -405,8 +392,8 @@ func (d *Daemon) boot() error {
 	// the boot checkpoint and the journals are durable: an image that
 	// carries it always has a committed chain to load.
 	firstBoot := d.dev.LoadU64(metaBase+sbOffMag) != sbMagic
+	var jEnd journalPos // just past the last journal batch replayed
 	if firstBoot {
-		d.chain = chainState{half: -1} // no committed chain yet
 		d.st = *newState()
 		d.st.NextSession = 1
 	} else {
@@ -420,16 +407,17 @@ func (d *Daemon) boot() error {
 		// covers; journal replay and recovery mutate it from here.
 		d.chainCounters = *d.countersVal()
 		d.seq = d.st.Seq
-		if n := d.replayJournals(d.st.Seq); n > 0 {
-			d.logf("boot: applied %d journal batches on top of checkpoint %d", n, d.st.Seq)
+		applied := 0 // the callback never fails, so neither does the read
+		jEnd, _ = d.readJournals(d.st.Seq, math.MaxUint64, 0, 0, func(seq uint64, recs []decRec) error {
+			applyBatchTo(&d.st, recs)
+			d.seq = max(d.seq, seq)
+			applied++
+			return nil
+		})
+		if applied > 0 {
+			d.logf("boot: applied %d journal batches on top of checkpoint %d", applied, d.st.Seq)
 		}
 	}
-	// Seed the COW registry image with the composed state. Every
-	// mutation from here on (recovery included) journals through
-	// appendBatch, whose records accumulate in d.pending as the deltas
-	// on top of this generation — so checkpoints never have to read
-	// live records again.
-	d.img.Store(&regImage{st: cloneState(&d.st), gen: d.chain.gen})
 	// Rebuild the in-memory reservation indexes.
 	for _, p := range d.st.Puddles {
 		if _, err := d.space.ReserveAt(pmem.Addr(p.Addr), p.Size, p.UUID.String()); err != nil {
@@ -489,13 +477,12 @@ func (d *Daemon) boot() error {
 		}
 		// The arena cannot hold the live chain AND a fresh full image —
 		// the registry is near arena capacity. Not fatal: the previous
-		// chain plus the intact journals (NOT reset below) still compose
-		// this exact state, so serve on and retry the full once the
-		// registry shrinks. forceFull stays up so no incremental streams
-		// in the meantime: pending only tracks post-boot deltas, the
-		// journal-replayed entries live in the boot image alone, and an
-		// increment over the stale chain would miss them.
+		// chain plus the intact journals still compose this exact state,
+		// so serve on, appending after the last replayed batch, and
+		// retry the full once the registry shrinks; it reads the chain
+		// and those journals like any live full.
 		d.forceFull = true
+		d.resumeJournal(jEnd)
 		d.logf("boot checkpoint deferred: %v", err)
 		return nil
 	}
@@ -564,16 +551,18 @@ func gobValue(blob []byte, v any) error {
 // written by the first daemon generation, which kept whole-state
 // snapshot slots, or a corrupt arena) is refused with ErrImageFormat.
 func (d *Daemon) loadMeta() error {
-	var best *state
-	d.chain = chainState{half: -1}
+	var (
+		best  *state
+		chain chainState
+	)
 	for half := 0; half < 2; half++ {
 		sr, ok := d.scanHalf(half)
 		if !ok {
 			continue
 		}
-		if best == nil || sr.st.Seq > d.chain.seq || (sr.st.Seq == d.chain.seq && sr.gen > d.chain.gen) {
+		if best == nil || sr.st.Seq > chain.seq || (sr.st.Seq == chain.seq && sr.gen > chain.gen) {
 			best = sr.st
-			d.chain = chainState{
+			chain = chainState{
 				half: half, seq: sr.st.Seq, gen: sr.gen, tail: sr.tail,
 				incs: sr.incs, headEnd: sr.headEnd,
 				spilled: sr.spilled, spillStart: sr.spillStart,
@@ -583,6 +572,7 @@ func (d *Daemon) loadMeta() error {
 	if best == nil {
 		return fmt.Errorf("%w: no checkpoint chain decodes", ErrImageFormat)
 	}
+	d.setChain(chain)
 	d.st = *best
 	return nil
 }
@@ -1097,7 +1087,7 @@ func (d *Daemon) Stats() proto.Stats {
 		CheckpointBytes:  d.ckptBytes.Load(),
 		CheckpointSeq:    d.ckptSeq.Load(),
 		CheckpointSpills: d.ckptSpills.Load(),
-		RegistryGen:      d.RegistryGen(),
+		RegistryGen:      d.chainGen.Load(),
 		CkptPauseTotalNs: d.ckptPauseTotal.Load(),
 		CkptPauseMaxNs:   d.ckptPauseMax.Load(),
 

@@ -23,7 +23,7 @@ func newDaemon(t *testing.T) (*Daemon, *proto.Conn) {
 	return d, c
 }
 
-func rt(t *testing.T, c *proto.Conn, req *proto.Request) *proto.Response {
+func rt(t testing.TB, c *proto.Conn, req *proto.Request) *proto.Response {
 	t.Helper()
 	resp, err := c.RoundTrip(req)
 	if err != nil {

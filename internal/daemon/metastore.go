@@ -134,11 +134,14 @@ const (
 // records of one daemon operation, or of one checkpoint chunk — is the
 // unit of journal append and replay, applied atomically; its sequence
 // number lives in the entry header.
+//
+// The field order keeps entRec at 48 bytes and a decRec at 64, which
+// FuzzDecodeBatch's allocation bound depends on.
 type entRec struct {
-	Kind recKind
 	Key  string // pool name, raw 16-byte UUID, or session id
-	Del  bool
 	Blob []byte // encoded entity value (codec.go); empty for tombstones
+	Kind recKind
+	Del  bool
 }
 
 // counters is the journal-persisted slice of the daemon's cumulative
@@ -205,10 +208,10 @@ type jreq struct {
 	lead    chan struct{}
 }
 
-// appendBatch makes recs durable as one atomic journal entry, bumps
-// the metadata sequence number and marks the touched entities dirty
-// for the next incremental checkpoint. Callers hold the lock of every
-// entity named in recs (so per-entity journal order matches in-memory
+// appendBatch makes recs durable as one atomic journal entry and bumps
+// the metadata sequence number; the next checkpoint reads the entry
+// back from the journal. Callers hold the lock of every entity named
+// in recs (so per-entity journal order matches in-memory
 // order); the encode and checksum run with no lock held.
 //
 // Appends are group-committed leader–follower style: each caller
@@ -242,9 +245,6 @@ func (d *Daemon) appendBatch(recs []entRec) error {
 		d.jgMu.Unlock()
 		select {
 		case <-r.done: // a leader committed our entry
-			if r.err == nil {
-				d.markDirty(recs)
-			}
 			return r.err
 		case <-r.lead: // promoted: our entry is still queued; drain it
 		}
@@ -258,9 +258,6 @@ func (d *Daemon) appendBatch(recs []entRec) error {
 	d.jgQueue = nil
 	d.jgMu.Unlock()
 	d.commitGroup(batch)
-	if r.err == nil {
-		d.markDirty(recs)
-	}
 	return r.err
 }
 
@@ -466,6 +463,20 @@ func (d *Daemon) switchJournal(baseSeq uint64) {
 	d.resetJournalRegion(other, baseSeq)
 }
 
+// resumeJournal points appends at end, just past the last batch boot
+// replayed, and leaves both regions as they are: boot deferred its
+// full checkpoint, so the journals still carry everything past the
+// committed chain. With no batch past the chain every entry is
+// covered, and the journals start afresh.
+func (d *Daemon) resumeJournal(end journalPos) {
+	if end.region == 0 {
+		d.initJournals()
+		return
+	}
+	d.jBase, d.jBaseSeq, d.jTail = end.region, end.base, end.off
+	d.jTailApprox.Store(end.off)
+}
+
 // initJournals establishes the boot-time journal state after the boot
 // checkpoint committed: journal 0 becomes the empty active region and
 // the standby is invalidated (its entries, like journal 0's old ones,
@@ -477,81 +488,89 @@ func (d *Daemon) initJournals() {
 	d.resetJournalRegion(pmem.MetaJournal0, d.seq)
 }
 
-// replayJournals composes every decodable journal batch with
-// Seq > ckptSeq onto d.st, in sequence order across both regions (the
-// retired region first — its base is older). Returns the number of
-// batches applied. Called single-threaded at boot.
+// journalPos is a journal append position: a region, the checkpoint
+// sequence its base builds on, and an offset in it.
+type journalPos struct {
+	region pmem.Addr // 0: no position
+	base   uint64
+	off    uint64
+}
+
+// readJournals is the one journal reader: boot replays through it and
+// every checkpoint reads its deltas through it, so both accept exactly
+// the same entries. It hands fn every decodable batch with seq in
+// (from, to], in sequence order across both regions (the retired
+// region first — its base is older), and returns the position just
+// past the last batch it handed over. An error from fn ends the read
+// and is returned.
+//
+// A region whose base is at or past to holds nothing in range and is
+// not read at all; after a journal switch, that is the region appends
+// are landing in. The region at active is read no further than
+// activeTail, the tail planCheckpoint captured under the exclusive
+// opMu: appends past it publish their headers word by word, so a
+// reader there could pair a new length and CRC with a stale seq from
+// an older journal generation. Boot passes active == 0 (no appends).
 //
 // A region whose base exceeds the sequence reached so far was built
-// on top of state we failed to recover (it can only appear after
-// media corruption); its batches — membership deltas especially —
-// must not be composed onto an older base, so it is skipped.
-func (d *Daemon) replayJournals(ckptSeq uint64) int {
-	type region struct {
-		addr pmem.Addr
-		base uint64
-	}
-	var regs []region
+// on top of state we failed to recover (it can only appear after media
+// corruption); its batches — membership deltas especially — must not
+// be composed onto an older base, so neither it nor a later region is
+// read. Within a region, a torn entry ends the read, and so does a
+// batch that passes its CRC but does not decode: none of its records,
+// and no later entry of the region, is handed over.
+func (d *Daemon) readJournals(from, to uint64, active pmem.Addr, activeTail uint64, fn func(seq uint64, recs []decRec) error) (journalPos, error) {
+	var regs []journalPos
 	for _, a := range []pmem.Addr{pmem.MetaJournal0, pmem.MetaJournal1} {
 		if d.dev.LoadU64(a+jrnOffMagic) != journalMagic {
 			continue // invalidated standby
 		}
-		regs = append(regs, region{addr: a, base: d.dev.LoadU64(a + jrnOffBase)})
+		regs = append(regs, journalPos{region: a, base: d.dev.LoadU64(a + jrnOffBase)})
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].base < regs[j].base })
-	applied := 0
-	reached := ckptSeq
+	sort.SliceStable(regs, func(i, j int) bool { return regs[i].base < regs[j].base })
+	var end journalPos
+	reached := from
 	for _, rg := range regs {
+		if rg.base >= to {
+			break
+		}
 		if rg.base > reached {
-			d.logf("boot: journal at %#x base seq %d exceeds recovered seq %d; ignoring it",
-				uint64(rg.addr), rg.base, reached)
+			d.logf("journal at %#x base seq %d exceeds recovered seq %d; ignoring it",
+				uint64(rg.region), rg.base, reached)
 			break
 		}
-		applied += d.replayRegion(rg.addr, ckptSeq, &reached)
-	}
-	return applied
-}
-
-// replayRegion scans one journal region and applies every decodable
-// batch with Seq > ckptSeq, advancing reached past every valid entry.
-// A batch that passes its CRC but does not decode ends the scan like a
-// torn one: none of its records, and no later entry, is applied.
-func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) int {
-	applied := 0
-	off := uint64(jrnHdrSize)
-	for {
-		if off+entHdrSize > journalSize {
-			break
+		limit := uint64(journalSize)
+		if rg.region == active {
+			limit = activeTail
 		}
-		ent := base + pmem.Addr(off)
-		n := uint64(d.dev.LoadU32(ent))
-		if n == 0 || off+entHdrSize+n > journalSize {
-			break
-		}
-		payload := make([]byte, n)
-		d.dev.Load(ent+entHdrSize, payload)
-		if crc64.Checksum(payload, crcTable) != d.dev.LoadU64(ent+8) {
-			break // torn append: the batch never happened
-		}
-		seq := d.dev.LoadU64(ent + 16)
-		recs, err := decodeBatch(payload)
-		if err != nil {
-			d.logf("boot: journal entry seq %d at %#x: %v; replay stops here", seq, uint64(ent), err)
-			break
-		}
-		if seq > *reached {
-			*reached = seq
-		}
-		if seq > ckptSeq {
-			applyBatchTo(&d.st, recs)
-			if seq > d.seq {
-				d.seq = seq
+		for off := uint64(jrnHdrSize); off+entHdrSize <= limit; {
+			ent := rg.region + pmem.Addr(off)
+			n := uint64(d.dev.LoadU32(ent))
+			if n == 0 || off+entHdrSize+n > limit {
+				break
 			}
-			applied++
+			payload := make([]byte, n)
+			d.dev.Load(ent+entHdrSize, payload)
+			if crc64.Checksum(payload, crcTable) != d.dev.LoadU64(ent+8) {
+				break // torn append: the batch never happened
+			}
+			seq := d.dev.LoadU64(ent + 16)
+			recs, err := decodeBatch(payload)
+			if err != nil {
+				d.logf("journal entry seq %d at %#x: %v; the region's read stops here", seq, uint64(ent), err)
+				break
+			}
+			reached = max(reached, seq)
+			off += entHdrSize + n
+			if seq > from && seq <= to {
+				if err := fn(seq, recs); err != nil {
+					return end, err
+				}
+				end = journalPos{region: rg.region, base: rg.base, off: off}
+			}
 		}
-		off += entHdrSize + n
 	}
-	return applied
+	return end, nil
 }
 
 // applyBatchTo folds one decoded journal batch (or checkpoint chunk)
@@ -566,39 +585,39 @@ func applyBatchTo(st *state, recs []decRec) {
 // applyRec folds one decoded record into st. The record's kind, key
 // and value type were checked by codec.record.
 func applyRec(st *state, r decRec) {
-	switch r.kind {
+	switch r.Kind {
 	case recPool:
-		if r.del {
-			delete(st.Pools, r.key)
+		if r.Del {
+			delete(st.Pools, r.Key)
 		} else {
-			st.Pools[r.key] = r.val.(*PoolRec)
+			st.Pools[r.Key] = r.val.(*PoolRec)
 		}
 	case recPuddle:
-		if r.del {
-			delete(st.Puddles, keyUUID(r.key))
+		if r.Del {
+			delete(st.Puddles, keyUUID(r.Key))
 		} else {
-			st.Puddles[keyUUID(r.key)] = r.val.(*PuddleRec)
+			st.Puddles[keyUUID(r.Key)] = r.val.(*PuddleRec)
 		}
 	case recLogSpace:
-		if r.del {
-			delete(st.LogSpaces, keyUUID(r.key))
+		if r.Del {
+			delete(st.LogSpaces, keyUUID(r.Key))
 		} else {
-			st.LogSpaces[keyUUID(r.key)] = r.val.(*LogSpaceRec)
+			st.LogSpaces[keyUUID(r.Key)] = r.val.(*LogSpaceRec)
 		}
 	case recSession:
-		id, _ := strconv.ParseUint(r.key, 10, 64)
-		if r.del {
+		id, _ := strconv.ParseUint(r.Key, 10, 64)
+		if r.Del {
 			delete(st.Sessions, id)
 		} else {
 			st.Sessions[id] = r.val.(*ImportSession)
 		}
 	case recPoolLink, recPoolUnlink:
-		pool := st.Pools[r.key]
+		pool := st.Pools[r.Key]
 		if pool == nil {
 			return
 		}
 		u := uid.UUID(*r.val.(*poolMember))
-		if r.kind == recPoolLink {
+		if r.Kind == recPoolLink {
 			pool.Puddles = append(pool.Puddles, u)
 			return
 		}
@@ -609,34 +628,34 @@ func applyRec(st *state, r decRec) {
 			}
 		}
 	case recMigOut:
-		if r.del {
-			delete(st.MigsOut, keyUUID(r.key))
+		if r.Del {
+			delete(st.MigsOut, keyUUID(r.Key))
 		} else {
-			st.MigsOut[keyUUID(r.key)] = r.val.(*MigOutRec)
+			st.MigsOut[keyUUID(r.Key)] = r.val.(*MigOutRec)
 		}
 	case recMoved:
-		if r.del {
-			delete(st.Moved, r.key)
+		if r.Del {
+			delete(st.Moved, r.Key)
 		} else {
-			st.Moved[r.key] = r.val.(*MovedRec)
+			st.Moved[r.Key] = r.val.(*MovedRec)
 		}
 	case recMigDone:
-		if r.del {
-			delete(st.MigsDone, keyUUID(r.key))
+		if r.Del {
+			delete(st.MigsDone, keyUUID(r.Key))
 		} else {
-			st.MigsDone[keyUUID(r.key)] = r.val.(*MigDoneRec)
+			st.MigsDone[keyUUID(r.Key)] = r.val.(*MigDoneRec)
 		}
 	case recStandby:
-		if r.del {
-			delete(st.Standbys, r.key)
+		if r.Del {
+			delete(st.Standbys, r.Key)
 		} else {
-			st.Standbys[r.key] = r.val.(*StandbyRec)
+			st.Standbys[r.Key] = r.val.(*StandbyRec)
 		}
 	case recReplica:
-		if r.del {
-			delete(st.Replicas, r.key)
+		if r.Del {
+			delete(st.Replicas, r.Key)
 		} else {
-			st.Replicas[r.key] = r.val.(*ReplicaRec)
+			st.Replicas[r.Key] = r.val.(*ReplicaRec)
 		}
 	case recTypes:
 		st.Types = *r.val.(*typeList)

@@ -6,7 +6,7 @@
 // messages over any net.Conn (a real UNIX socket for cmd/puddled, an
 // in-process net.Pipe for tests and benchmarks) and return grant
 // records {address, size, writability} standing in for the fd
-// capability (DESIGN.md §2).
+// capability.
 package proto
 
 import (
@@ -209,7 +209,7 @@ type Stats struct {
 	CkptPauseTotalNs uint64 // cumulative exclusive quiesce time across checkpoints
 	CkptPauseMaxNs   uint64 // worst single checkpoint quiesce
 	CheckpointSpills uint64 // full images that overflowed into the other arena half
-	RegistryGen      uint64 // committed copy-on-write registry image generation
+	RegistryGen      uint64 // commit generation of the committed checkpoint chain
 
 	CacheHits      uint64 // small allocs/frees served by worker caches
 	CacheMisses    uint64 // cacheable allocs that fell to the shared heap

@@ -242,8 +242,7 @@ func (t *BTree) insertNonFull(tx pmlib.Tx, n pmem.Addr, key, val uint64) error {
 
 // Delete removes a key in one transaction. Internal keys swap with
 // their in-order predecessor before leaf removal; underflowed nodes
-// are not rebalanced (search correctness is unaffected; see DESIGN.md
-// §6 on simplifications).
+// are not rebalanced (search correctness is unaffected).
 func (t *BTree) Delete(key uint64) (bool, error) {
 	found := false
 	err := t.lib.Run(func(tx pmlib.Tx) error {
